@@ -1,9 +1,9 @@
 """Benchmark-suite configuration.
 
-Each benchmark regenerates one of the paper's tables/figures (experiment ids
-E1–E11 in DESIGN.md §4) and prints the measured-vs-bound table it produced.
-The benchmark timer measures the harness run; the scientific payload is the
-printed table plus the shape assertions, recorded in EXPERIMENTS.md.
+Each benchmark regenerates one of the paper's tables/figures (the experiment
+ids listed in :mod:`repro.experiments`) and prints the measured-vs-bound
+table it produced.  The benchmark timer measures the harness run; the
+scientific payload is the printed table plus the shape assertions.
 """
 
 import pytest

@@ -17,8 +17,8 @@ Quick start::
     io = dfs_io(n=256, M=768)                    # measured words vs Theorem 1.1
     print(io.words / sequential_io_bound(256, 768))
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record.
+See README.md for the system inventory and :mod:`repro.experiments` for
+the paper-vs-measured harnesses.
 """
 
 from repro.cdag.graph import CDAG, VertexKind

@@ -2,13 +2,13 @@
 
 The repo's nastiest historical bug classes are all *statically detectable*:
 result-affecting parameters missing from :mod:`repro.engine.cache`
-fingerprints (forced ``CACHE_VERSION`` bumps), NaN/numpy scalars leaking
+fingerprints (stale artifacts served as fresh), NaN/numpy scalars leaking
 into strict-JSON artifacts, and drift between registered algorithms and
 their declared contracts.  Generic linters cannot see these invariants, so
 this package encodes them as an AST-visitor checker framework:
 
-* :class:`~repro.analysis.base.Checker` — the per-file / whole-program
-  checker protocol, registered via ``@register_checker``;
+* :class:`~repro.analysis.base.Checker` — the per-file checker protocol,
+  registered via ``@register_checker``;
 * :class:`~repro.analysis.findings.Finding` — one diagnostic with
   ``file:line``, severity, and a fix hint;
 * :mod:`repro.analysis.baseline` — a committed baseline file that
@@ -26,7 +26,6 @@ from __future__ import annotations
 from repro.analysis.base import (
     Checker,
     Module,
-    Program,
     available_checkers,
     get_checker,
     register_checker,
@@ -43,7 +42,6 @@ __all__ = [
     "CheckReport",
     "Finding",
     "Module",
-    "Program",
     "Severity",
     "available_checkers",
     "get_checker",

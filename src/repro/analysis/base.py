@@ -4,9 +4,9 @@ Mirrors the repo's other registries (``@register_parallel``,
 ``@register_bench``): a checker subclasses :class:`Checker`, declares its
 stable ``code``/``name``/``description``, and registers itself with
 ``@register_checker``.  The runner hands each checker parsed
-:class:`Module` objects (per-file pass) and the whole :class:`Program`
-(cross-file pass); checkers yield :class:`~repro.analysis.findings.Finding`
-records and never mutate anything.
+:class:`Module` objects; checkers yield
+:class:`~repro.analysis.findings.Finding` records and never mutate
+anything.
 
 Inline suppression: a ``# repro: ignore[RC101]`` comment on the flagged
 line silences that code there (``# repro: ignore`` silences every code on
@@ -21,14 +21,13 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.analysis.findings import Finding, Severity
 
 __all__ = [
     "Checker",
     "Module",
-    "Program",
     "available_checkers",
     "get_checker",
     "register_checker",
@@ -84,34 +83,12 @@ class Module:
         return not codes or finding.code in codes
 
 
-@dataclass
-class Program:
-    """Every module of one ``repro check`` run, plus the repo root.
-
-    ``root`` anchors repo-relative paths for whole-program checkers that
-    read committed data files (the digest pins) even when the run was
-    pointed at a subtree.
-    """
-
-    root: Path
-    modules: list[Module] = field(default_factory=list)
-
-    def module(self, rel: str) -> Module | None:
-        for m in self.modules:
-            if m.rel == rel:
-                return m
-        return None
-
-    def __iter__(self) -> Iterator[Module]:
-        return iter(self.modules)
-
-
 class Checker(abc.ABC):
     """One registered invariant.
 
     Subclasses set ``name`` (registry key), ``code`` (stable finding
     prefix), ``description`` (one line, shown by ``repro check --list``),
-    and override :meth:`check_module` and/or :meth:`check_program`.
+    and override :meth:`check_module`.
     """
 
     name: str = "?"
@@ -121,10 +98,6 @@ class Checker(abc.ABC):
 
     def check_module(self, module: Module) -> Iterable[Finding]:
         """Per-file pass; called once per parsed module."""
-        return ()
-
-    def check_program(self, program: Program) -> Iterable[Finding]:
-        """Whole-program pass; called once after every module parsed."""
         return ()
 
     def finding(

@@ -2,8 +2,8 @@
 
 ``run_check`` is the single entry point behind ``python -m repro check``
 and the test suite: collect ``.py`` files, parse them (a syntax error is
-itself a finding, not a crash), run the selected checkers' per-module and
-whole-program passes, drop inline-suppressed findings, split the rest
+itself a finding, not a crash), run the selected checkers' per-module
+passes, drop inline-suppressed findings, split the rest
 against the committed baseline, and wrap everything in a
 :class:`CheckReport`.
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.analysis.base import Module, Program, available_checkers, get_checker
+from repro.analysis.base import Module, available_checkers, get_checker
 from repro.analysis.baseline import (
     DEFAULT_BASELINE_NAME,
     load_baseline,
@@ -112,8 +112,8 @@ def run_check(
 ) -> CheckReport:
     """Run the selected checkers over ``paths`` (default: ``<root>/src``).
 
-    ``root`` anchors repo-relative paths and the committed data files
-    (baseline, digest pins); it defaults to the working directory.
+    ``root`` anchors repo-relative paths and the committed baseline; it
+    defaults to the working directory.
     ``select`` narrows to named checkers (default: all registered).
     """
     import repro.analysis.checkers  # noqa: F401  (registers shipped checkers)
@@ -124,11 +124,11 @@ def run_check(
     names = sorted(select) if select is not None else available_checkers()
     checkers = [get_checker(n) for n in names]
 
-    program = Program(root=root)
+    modules: dict[str, Module] = {}
     parse_failures: list[Finding] = []
     for path, rel in collect_files(paths, root):
         try:
-            program.modules.append(Module.parse(path, rel))
+            modules[rel] = Module.parse(path, rel)
         except SyntaxError as exc:
             parse_failures.append(
                 Finding(
@@ -144,14 +144,13 @@ def run_check(
 
     raw: list[Finding] = list(parse_failures)
     for checker in checkers:
-        for module in program:
+        for module in modules.values():
             raw.extend(checker.check_module(module))
-        raw.extend(checker.check_program(program))
 
     kept: list[Finding] = []
     suppressed = 0
     for f in sorted(raw):
-        m = program.module(f.path)
+        m = modules.get(f.path)
         if m is not None and m.is_suppressed(f):
             suppressed += 1
         else:
@@ -169,7 +168,7 @@ def run_check(
         findings=new,
         baselined=old,
         suppressed=suppressed,
-        n_files=len(program.modules) + len(parse_failures),
+        n_files=len(modules) + len(parse_failures),
         checkers=names,
     )
 

@@ -125,10 +125,12 @@ def interval_from_estimate(est: ExpansionEstimate) -> ExpansionInterval:
     Exact and spectral estimates carry their own certified lower bound;
     cone-only estimates report ``NaN`` (no eigensolve ran), which certifies
     the trivial ``0 <= h(G)`` — the interval makes that explicit instead of
-    propagating a hole.
+    propagating a hole.  A witness cut with boundary 0 proves ``h(G) = 0``,
+    so it also pins the lower end to 0 (a Cheeger bound of float noise such
+    as ``2e-17`` would otherwise leave an empty interval).
     """
     lower = est.lower
-    if math.isnan(lower):
+    if math.isnan(lower) or est.witness_boundary == 0:
         lower = 0.0
     return ExpansionInterval(
         lower=lower,

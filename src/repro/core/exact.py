@@ -16,9 +16,7 @@ This module rebuilds the machinery around three composable ideas:
   binary-reflected doubling recurrence (each doubling step flips exactly one
   vertex into every previously enumerated subset — the batched form of a
   Gray-code walk, costing O(1) amortized words per subset), and prunes with
-  the branch-and-bound test ``boundary > d·|U|·h_best ⇒ skip``.  A scalar
-  single-bit-flip Gray walk (:func:`_gray_scan_py`) is kept as an
-  independently-coded backend that the property tests cross-check.
+  the branch-and-bound test ``boundary > d·|U|·h_best ⇒ skip``.
 
 * **Prefix-sharded parallel search** — the subset space splits into
   prefix-fixed spans (high vertex bits fixed, low bits enumerated by the
@@ -29,11 +27,11 @@ This module rebuilds the machinery around three composable ideas:
 
 Exact ``h_s`` additionally gets a *size-restricted combinatorial walk*: only
 the ``C(n, ≤s)`` subsets of size at most ``s`` are visited (Gosper
-successor + one incremental flip per step in the scalar backend), which
+successor + one incremental flip per step), which
 makes ``h_s`` of a 40-vertex graph a few thousand evaluations instead of a
 ``2^40`` enumeration.
 
-A fourth backend pushes the same scan to native speed: ``backend="native"``
+A second backend pushes the same scan to native speed: ``backend="native"``
 runs the prefix-sharded doubling walk inside a small C kernel
 (:mod:`repro.core._native`, one ``.c`` file compiled with the system
 compiler at first use and loaded through ``ctypes``).  It is auto-selected
@@ -101,7 +99,7 @@ COMB_SUBSET_LIMIT = 1 << 24
 
 #: The selectable enumeration backends (``"auto"`` picks native when the
 #: compiled kernel is importable, bitset otherwise).
-EXACT_BACKENDS = ("auto", "native", "bitset", "gray")
+EXACT_BACKENDS = ("auto", "native", "bitset")
 
 #: The native kernel packs each adjacency row into one uint64 word.
 _NATIVE_MAX_VERTICES = 64
@@ -629,47 +627,16 @@ def _bounded_scan(
     return best_r, best_m
 
 
-# ---------------------------------------------------------------------- #
-# scalar Gray-code backends (independent implementations, cross-checked)  #
-# ---------------------------------------------------------------------- #
-
-
-def _gray_scan_py(
-    adj: list[int], deg: list[int], d: int, n: int, limit: int
-) -> tuple[float, int]:
-    """Pure-Python binary-reflected Gray walk over all 2^n − 1 subsets.
-
-    One vertex flips per step, so the boundary update is a single bitset
-    intersection; candidates are pruned with ``boundary > d·|U|·h_best``
-    before any division happens.
-    """
-    best_r, best_m = math.inf, 0
-    cur = 0
-    bnd = 0
-    for i in range(1, 1 << n):
-        nxt = i ^ (i >> 1)
-        v = (cur ^ nxt).bit_length() - 1
-        if (nxt >> v) & 1:  # v flipped in
-            bnd += deg[v] - 2 * (adj[v] & cur).bit_count()
-        else:  # v flipped out
-            bnd -= deg[v] - 2 * (adj[v] & nxt).bit_count()
-        cur = nxt
-        s = cur.bit_count()
-        if 1 <= s <= limit and bnd <= best_r * (d * s) + 1:
-            r = bnd / (d * s)
-            if r < best_r or (r == best_r and cur < best_m):
-                best_r, best_m = r, cur
-    return best_r, best_m
-
-
 def _bounded_walk_py(
     adj: list[int], deg: list[int], d: int, n: int, s_max: int
 ) -> tuple[float, int]:
     """Pure-Python size-restricted walk: DFS over the subset lattice.
 
-    Each step flips exactly one vertex into the current set (the
-    revolving-door idea: C(n, ≤s) states, O(1) bitset work per transition),
-    so exact ``h_s`` never touches the 2^n space.
+    Python ints hold the masks, so this serves graphs beyond the 63 vertices
+    :func:`_bounded_scan`'s uint64 masks reach.  Each step flips exactly one
+    vertex into the current set (the revolving-door idea: C(n, ≤s) states,
+    O(1) bitset work per transition), so exact ``h_s`` never touches the 2^n
+    space.
     """
     best_r, best_m = math.inf, 0
 
@@ -711,11 +678,10 @@ def exact_edge_expansion_v2(
     Bit-identical to the seed enumerator on every input it could solve: the
     same ``h`` and the smallest minimizing subset mask.  ``jobs > 1`` shards
     the subset space over processes (identical results for any ``jobs``).
-    ``backend`` selects ``"native"`` (the compiled C kernel), ``"bitset"``
-    (vectorized numpy kernels), or ``"gray"`` (the scalar Gray-walk
-    reference); ``"auto"`` picks native when the compiled library is
-    importable and the graph fits single-word rows, bitset otherwise.  All
-    backends return bit-identical ``(h, mask)``.
+    ``backend`` selects ``"native"`` (the compiled C kernel) or ``"bitset"``
+    (vectorized numpy kernels); ``"auto"`` picks native when the compiled
+    library is importable and the graph fits single-word rows, bitset
+    otherwise.  Both backends return bit-identical ``(h, mask)``.
     """
     n = g.n_vertices
     if n < 2:
@@ -765,13 +731,6 @@ def exact_edge_expansion_v2(
                 f"limit {lim} and C({n}, <={size_cap}) = {comb_count} exceeds "
                 f"{COMB_SUBSET_LIMIT} subsets"
             )
-
-    if backend == "gray":
-        if restricted:
-            r, m = _bounded_walk_py(adj, deg, d, n, size_cap)
-        else:
-            r, m = _gray_scan_py(adj, deg, d, n, n // 2)
-        return r, _mask_to_bool(m, n)
 
     # Cost-based choice between the full doubling scan and the combinatorial
     # walk; both are exact and tie-break identically, so this is pure perf.

@@ -281,10 +281,11 @@ def cached_estimate(
                 "witness_boundary": np.int64(est.witness_boundary),
                 "degree": np.int64(est.degree),
                 "method": np.asarray(est.method),
-                # The certified interval (v6 schema): lower differs from the
-                # raw estimate only for cone-only rows (NaN → trivial 0), and
-                # the provenance tag names the proof path, so cache readers
-                # get the certificate without re-deriving it.
+                # The certified interval: lower differs from the raw
+                # estimate only for cone-only rows (NaN → trivial 0) and
+                # zero-boundary witnesses (h = 0 proven), and the provenance
+                # tag names the proof path, so cache readers get the
+                # certificate without re-deriving it.
                 "interval_lower": np.float64(iv.lower),
                 "provenance": np.asarray(iv.provenance),
             },

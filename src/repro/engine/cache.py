@@ -12,9 +12,10 @@ artifact kinds across processes and runs:
 
 Keys are *content-addressed*: a SHA-256 over the scheme's actual coefficient
 matrices (not just its registry name), the recursion depth, the build
-options, and a format version.  Changing a scheme's U/V/W, any build flag,
-or ``CACHE_VERSION`` automatically misses the old entries — there is no
-manual invalidation protocol beyond ``clear()``.
+options, and the package's own source (:func:`source_digest`).  Changing a
+scheme's U/V/W, any build flag, or any line of ``repro`` automatically
+misses the old entries — there is no manual invalidation protocol beyond
+``clear()``.
 
 Layout: ``<root>/<key[:2]>/<key>.npz``, written atomically (tmp file +
 ``os.replace``) so concurrent worker processes can share one cache
@@ -34,6 +35,7 @@ atomic-rename protocol makes concurrent same-key writers idempotent.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import sys
@@ -51,7 +53,6 @@ import numpy as np
 from repro.cdag.schemes import BilinearScheme
 
 __all__ = [
-    "CACHE_VERSION",
     "CacheStats",
     "EngineCache",
     "cache_key",
@@ -59,37 +60,8 @@ __all__ = [
     "default_cache_root",
     "scheme_fingerprint",
     "set_default_cache",
+    "source_digest",
 ]
-
-#: Bump to invalidate every existing cache entry (stored-format changes).
-#: v2: rectangular ⟨m₀,n₀,p₀;t₀⟩ schemes — the fingerprint now covers the
-#: full shape, so square-era entries must not be shared.
-#: v3: parallel scaling-sweep artifacts — keys may now carry a None scheme
-#: (classical grid algorithms), so the keyspace layout changed.
-#: v4: exact-expansion engine v2 — EXACT_LIMIT rose 22 → 28, so "auto"-policy
-#: estimates of 23..28-vertex graphs change method (spectral → exact); stale
-#: estimates from older builds must miss.
-#: v5: "auto"-policy estimate keys now carry the effective exact-enumeration
-#: ceiling (exact_limit=...), closing the stale-read when REPRO_EXACT_LIMIT
-#: changes between runs; old auto-estimate entries keyed without it must miss.
-#: v6: certified expansion intervals — estimate artifacts now store the
-#: interval provenance tag, DEFAULT_EXACT_LIMIT rose 28 → 32 (the native
-#: kernel), so "auto"-policy estimates of 29..32-vertex graphs change method;
-#: v5 estimate entries lack the provenance field and must miss.
-#: v7: planner-first parallel API — scaling artifacts now measure via
-#: ``execute(ParallelConfig)`` and analytic records carry a flops term, and
-#: the new kind ``"plan"`` stores ranked plan tables keyed by topology
-#: cache tokens; pre-planner scaling entries must not be replayed into the
-#: topology-costed pipeline.
-#:
-#: Numeric-key normalization (PR 7) deliberately did NOT bump the version:
-#: normalized keys are byte-identical to the keys plain-Python (and
-#: NumPy 1.x) callers always produced, so every canonical entry stays valid.
-#: The only orphaned entries are the *fragmented duplicates* NumPy 2.x
-#: scalars created via ``repr(np.float64(1.5)) == 'np.float64(1.5)'`` — those
-#: held the same artifact content as their canonical twins, so leaving them
-#: unreachable cannot serve a stale result.
-CACHE_VERSION = 7
 
 _ENV_VAR = "REPRO_CACHE_DIR"
 
@@ -162,16 +134,41 @@ def _normalize_param(value: Any) -> Any:
     return value
 
 
+@functools.cache
+def source_digest() -> str:
+    """SHA-256 over the path and bytes of every ``*.py``/``*.c`` file of ``repro``.
+
+    Every cached artifact is a value computed by this package's code, so
+    the code itself is part of every key: any source edit — a cost formula,
+    a builder, a comment — makes every kind miss, and no module list needs
+    upkeep.  Raw bytes, not a parsed form, keep this a few milliseconds per
+    process (pool workers pay it inside timed sweeps).
+    """
+    package = Path(__file__).resolve().parent.parent
+    files = sorted(
+        (path.relative_to(package).as_posix(), path)
+        for pattern in ("*.py", "*.c")
+        for path in package.rglob(pattern)
+    )
+    h = hashlib.sha256()
+    for rel, path in files:
+        data = path.read_bytes()
+        h.update(f"{rel}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
 def cache_key(kind: str, scheme: BilinearScheme | None, **params: Any) -> str:
     """Content-addressed key for one artifact of one scheme.
 
     ``scheme=None`` is allowed for artifacts with no bilinear scheme behind
     them (e.g. classical grid-algorithm scaling runs).  Numeric parameters
     are normalized first so NumPy scalars and equal Python numbers share a
-    key (see :func:`_normalize_param`).
+    key (see :func:`_normalize_param`).  The package's :func:`source_digest`
+    leads every key, so artifacts never outlive the code that built them.
     """
     fp = scheme_fingerprint(scheme) if scheme is not None else "none"
-    parts = [f"v{CACHE_VERSION}", kind, fp]
+    parts = [source_digest(), kind, fp]
     parts.extend(f"{name}={_normalize_param(params[name])!r}" for name in sorted(params))
     return hashlib.sha256("|".join(parts).encode()).hexdigest()
 

@@ -1,6 +1,6 @@
 """Experiment harnesses regenerating each of the paper's tables and figures.
 
-Each module maps to experiment ids in DESIGN.md §4:
+Each module regenerates the experiments (ids E1–E12) listed with it:
 
 * :mod:`repro.experiments.seq_io` — E1/E2 (Eq. 1, Thm 1.1, Thm 1.3)
 * :mod:`repro.experiments.expansion_exp` — E3 (Lemma 4.3, Cor. 4.4)

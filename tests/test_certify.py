@@ -82,6 +82,17 @@ class TestProvenanceMapping:
 
 
 class TestEstimatorIntervals:
+    @pytest.mark.parametrize(
+        ("scheme", "k"),
+        [("classical2", 3), ("classical2", 4), ("classical122", 5), ("classical221", 5)],
+    )
+    def test_disconnected_dec_graph_certifies_zero(self, scheme, k):
+        # A zero-boundary sweep cut proves h = 0; the Cheeger bound here is
+        # float noise (~2e-17) and must not make the interval empty.
+        est = cached_estimate(scheme, k, policy="auto", cache=EngineCache(disk=False))
+        iv = est.interval()
+        assert (iv.lower, iv.upper, iv.provenance) == (0.0, 0.0, "cheeger+sweep")
+
     def test_exact_interval_pins_h(self):
         g = dec_graph("strassen", 1)
         est = estimate_expansion(g)

@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.cdag.schemes import get_scheme
 from repro.cdag.strassen_cdag import dec_graph, h_graph
 from repro.core.expansion import exact_edge_expansion
@@ -69,6 +73,75 @@ class TestKeys:
             "renamed", s.m0, s.n0, s.p0, s.U.copy(), s.V.copy(), s.W.copy()
         )
         assert scheme_fingerprint(clone) == scheme_fingerprint(s)
+
+
+#: Plans n=256 strassen against the cache root in argv[1] and reports the
+#: plan key, the build count and the 2.5D (c=4, p=64) word count.
+_PLAN_PROBE = """
+import json, sys
+from repro.cdag.schemes import get_scheme
+from repro.engine.cache import EngineCache, cache_key
+from repro.engine.planner import plan
+
+cache = EngineCache(sys.argv[1])
+words = {(pl.label, pl.p): pl.words for pl in plan(256, "strassen", cache=cache)}
+print(json.dumps({
+    "key": cache_key("plan", get_scheme("strassen"), n=256),
+    "builds": cache.stats.builds,
+    "words": words[("2.5d(c=4)", 64)],
+}))
+"""
+
+
+def _copy_package(dest: Path) -> Path:
+    """A copy of the ``repro`` source tree under ``dest``; returns ``dest``."""
+    shutil.copytree(
+        Path(repro.__file__).parent,
+        dest / "repro",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    return dest
+
+
+def _probe_plan(tree: Path, cache_root: Path) -> dict:
+    env = {**os.environ, "PYTHONPATH": str(tree), "REPRO_POOL": "0"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _PLAN_PROBE, str(cache_root)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestSourceDigestKeys:
+    """Every key carries the package source: edits miss, identical copies hit."""
+
+    @pytest.fixture(scope="class")
+    def original(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("source-digest")
+        cache_root = root / "cache"
+        return cache_root, _probe_plan(_copy_package(root / "original"), cache_root)
+
+    def test_cost_formula_edit_rebuilds_the_plan(self, original, tmp_path):
+        cache_root, before = original
+        tree = _copy_package(tmp_path)
+        two5d = tree / "repro" / "parallel" / "two5d.py"
+        source = two5d.read_text()
+        assert "words=(3.0 * lg + shift_part) * b2" in source
+        two5d.write_text(source.replace("words=(3.0 * lg", "words=(4.0 * lg"))
+        after = _probe_plan(tree, cache_root)
+        assert before["words"] == 40960
+        assert after["key"] != before["key"]
+        assert after["builds"] == 1 and after["words"] == 49152
+
+    def test_identical_copy_at_another_path_shares_keys(self, original, tmp_path):
+        cache_root, before = original
+        again = _probe_plan(_copy_package(tmp_path), cache_root)
+        assert again["key"] == before["key"]
+        assert again["builds"] == 0 and again["words"] == before["words"]
 
 
 class TestCacheRoundTrip:

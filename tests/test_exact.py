@@ -1,7 +1,7 @@
 """Tests for the exact-expansion engine v2 (repro.core.exact).
 
 The seed brute-force enumerator is kept *here* as the ground-truth oracle:
-every v2 kernel (vectorized bitset scan, scalar Gray walk, size-restricted
+every v2 kernel (vectorized bitset scan, native scan, size-restricted
 combinatorial walk, process-parallel sharding) must reproduce its results
 bit-for-bit — the same ``h`` float and the same (smallest) witness mask.
 """
@@ -21,7 +21,6 @@ from repro.core.exact import (
     EXACT_LIMIT,
     _adjacency_ints,
     _bounded_walk_py,
-    _gray_scan_py,
     exact_edge_expansion_v2,
     exact_small_set_expansion_v2,
 )
@@ -98,29 +97,13 @@ class TestPropertyOracle:
             assert h_v2 == h_ref, (n, seed, s)
             assert np.array_equal(m_v2, m_ref), (n, seed, s)
 
-    @settings(max_examples=15, deadline=None)
-    @given(n=st.integers(min_value=2, max_value=11), seed=st.integers(0, 2**31 - 1))
-    def test_gray_backend_matches_oracle(self, n, seed):
-        g = _random_graph(n, seed)
-        if g is None:
-            return
-        h_ref, m_ref = _oracle(g)
-        h_g, m_g = exact_edge_expansion_v2(g, backend="gray")
-        assert h_g == h_ref
-        assert np.array_equal(m_g, m_ref)
-        s = max(1, n // 3)
-        h_ref_s, m_ref_s = _oracle(g, max_size=s)
-        h_gs, m_gs = exact_edge_expansion_v2(g, max_size=s, backend="gray")
-        assert h_gs == h_ref_s
-        assert np.array_equal(m_gs, m_ref_s)
-
 
 class TestBackendsAgree:
     @pytest.mark.parametrize("scheme", ["strassen", "winograd", "classical2"])
     def test_dec1_all_backends(self, scheme):
         g = dec_graph(scheme, 1)
         h_ref, m_ref = _oracle(g)
-        for kwargs in ({}, {"backend": "gray"}):
+        for kwargs in ({}, {"backend": "bitset"}):
             h, m = exact_edge_expansion_v2(g, **kwargs)
             assert h == h_ref
             assert np.array_equal(m, m_ref)
@@ -131,11 +114,9 @@ class TestBackendsAgree:
         deg = [int(x) for x in g.degree]
         d = g.max_degree
         h_ref, m_ref = _oracle(g)
-        r_gray, m_gray = _gray_scan_py(adj, deg, d, 12, 6)
-        assert r_gray == h_ref
         r_walk, m_walk = _bounded_walk_py(adj, deg, d, 12, 6)
         assert r_walk == h_ref
-        assert m_gray == m_walk == int(np.packbits(m_ref, bitorder="little").view(np.uint16)[0])
+        assert m_walk == int(np.packbits(m_ref, bitorder="little").view(np.uint16)[0])
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):

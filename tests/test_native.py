@@ -20,6 +20,7 @@ from repro.core.exact import (
     exact_edge_expansion_v2,
     native_backend_available,
 )
+from test_exact import _oracle, _random_graph
 
 needs_native = pytest.mark.skipif(
     not native_backend_available(),
@@ -27,34 +28,21 @@ needs_native = pytest.mark.skipif(
 )
 
 
-def _random_graph(n: int, seed: int, p: float = 0.35) -> CDAG | None:
-    rng = np.random.default_rng(seed)
-    src, dst = [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                src.append(i)
-                dst.append(j)
-    if not src:
-        return None
-    return CDAG(n, np.array(src), np.array(dst), np.zeros(n, dtype=np.int8))
-
-
 class TestNativeEquivalence:
-    """native ≡ bitset ≡ gray — the tentpole's bit-identity contract."""
+    """native ≡ bitset ≡ seed oracle — the bit-identity contract."""
 
     @needs_native
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(min_value=2, max_value=14), seed=st.integers(0, 2**31 - 1))
-    def test_native_matches_bitset_and_gray_on_random_cdags(self, n, seed):
+    def test_native_matches_bitset_and_oracle_on_random_cdags(self, n, seed):
         g = _random_graph(n, seed)
         if g is None:
             return
         h_b, m_b = exact_edge_expansion_v2(g, backend="bitset")
         h_n, m_n = exact_edge_expansion_v2(g, backend="native")
-        h_g, m_g = exact_edge_expansion_v2(g, backend="gray")
-        assert h_n == h_b == h_g
-        assert np.array_equal(m_n, m_b) and np.array_equal(m_n, m_g)
+        h_o, m_o = _oracle(g)
+        assert h_n == h_b == h_o
+        assert np.array_equal(m_n, m_b) and np.array_equal(m_n, m_o)
 
     @needs_native
     @pytest.mark.parametrize("n", [12, 18, 22, 26])
@@ -97,7 +85,7 @@ class TestNativeEquivalence:
 
 class TestBackendSelection:
     def test_backend_registry_lists_native(self):
-        assert EXACT_BACKENDS == ("auto", "native", "bitset", "gray")
+        assert EXACT_BACKENDS == ("auto", "native", "bitset")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):
