@@ -9,12 +9,13 @@ Run:  python examples/quickstart.py
 
 from repro import (
     LG7,
+    ParallelConfig,
     dec_graph,
     dfs_io,
     estimate_expansion,
+    get_parallel,
     h_graph,
     parallel_io_bound,
-    run_parallel,
     sequential_io_bound,
 )
 from repro.util.matgen import integer_matrix
@@ -47,7 +48,7 @@ def main() -> None:
     #    against the bound.
     A = integer_matrix(56, seed=1)
     B = integer_matrix(56, seed=2)
-    r = run_parallel("caps", A, B, p=7)
+    r = get_parallel("caps").execute(A, B, ParallelConfig(n=56, p=7))
     assert (r.C == A @ B).all(), "parallel result must be exact"
     pbound = parallel_io_bound(56, r.max_mem_peak, 7, LG7)
     print(f"CAPS p=7, n=56: {r.critical_words} words on the critical path "

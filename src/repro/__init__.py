@@ -90,7 +90,6 @@ from repro.parallel import (
     ParallelResult,
     available_parallel,
     get_parallel,
-    run_parallel,
 )
 from repro.topology import Device, Link, Topology
 
@@ -166,7 +165,6 @@ __all__ = [
     "ParallelResult",
     "available_parallel",
     "get_parallel",
-    "run_parallel",
     "Device",
     "Link",
     "Topology",

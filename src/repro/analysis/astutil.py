@@ -7,7 +7,6 @@ from typing import Iterator
 
 __all__ = [
     "call_name",
-    "decorator_call",
     "decorator_name",
     "imported_aliases",
     "imports_module",
@@ -31,16 +30,6 @@ def decorator_name(dec: ast.expr) -> str | None:
     if isinstance(dec, ast.Call):
         return call_name(dec.func)
     return call_name(dec)
-
-
-def decorator_call(
-    node: ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef, name: str
-) -> ast.Call | None:
-    """The ``@name(...)`` decorator Call on ``node``, if present."""
-    for dec in node.decorator_list:
-        if isinstance(dec, ast.Call) and call_name(dec.func) == name:
-            return dec
-    return None
 
 
 def walk_functions(

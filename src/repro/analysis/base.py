@@ -1,8 +1,8 @@
 """Checker protocol, parsed-module model, and the checker registry.
 
-Mirrors the repo's other registries (``@register_parallel``,
-``@register_bench``): a checker subclasses :class:`Checker`, declares its
-stable ``code``/``name``/``description``, and registers itself with
+Mirrors the parallel-algorithm registry (``@register_parallel``): a
+checker subclasses :class:`Checker`, declares its stable
+``code``/``name``/``description``, and registers itself with
 ``@register_checker``.  The runner hands each checker parsed
 :class:`Module` objects; checkers yield
 :class:`~repro.analysis.findings.Finding` records and never mutate

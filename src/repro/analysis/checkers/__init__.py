@@ -9,8 +9,6 @@ RC101    cache-fingerprint      every parameter of a ``cache_key``-calling
                                 builder flows into the key (or is exempt)
 RC201    registry-parallel      ``@register_parallel`` classes declare
                                 validity + analytic-cost contracts
-RC202    registry-bench         ``@register_bench`` workloads declare quick
-                                param sets and a scalar ``check`` payload
 RC203    registry-pure-cost     pure-cost methods of registered parallel
                                 algorithms never touch numpy or ``Machine``
 RC301    strict-json            no raw ``json.dump(s)`` on non-literal

@@ -1,19 +1,13 @@
-"""Registry contracts: parallel algorithms and benchmark workloads.
+"""Registry contracts: parallel algorithms.
 
 Table I of the paper is an experimental claim about declared analytic
-costs; the bench gate is a claim about pinned science outputs.  Both rest
-on registry entries actually *declaring* their contracts:
+costs.  It rests on registry entries actually *declaring* their contracts:
 
 * **RC201** — every ``@register_parallel`` class must define its validity
   predicate (``validate``), its analytic α-β word/message/memory formulas
   (``analytic_costs``), its superstep kernel (``_execute``), and a
   registry ``name``.  A registered algorithm without declared costs
   silently drops out of the bound-attainment comparison.
-* **RC202** — every ``@register_bench`` workload with tunable ``params``
-  must also declare ``quick_params`` (an explicit ``{}`` documents "quick
-  deliberately equals full"), and every dict-literal return of the
-  workload must carry the scalar ``"check"`` payload the CI comparison
-  gate pins.
 * **RC203** — the planner-facing cost surface (``estimate`` /
   ``analytic_costs`` / ``analytic_flops`` / ``validate`` /
   ``plan_configs``) of a registered algorithm must stay *pure*: no numpy
@@ -28,13 +22,12 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.analysis.astutil import decorator_call, decorator_name
+from repro.analysis.astutil import decorator_name
 from repro.analysis.base import Checker, Module, register_checker
 from repro.analysis.findings import Finding
 
 __all__ = [
     "ParallelContractChecker",
-    "BenchContractChecker",
     "PureCostChecker",
 ]
 
@@ -114,119 +107,6 @@ class ParallelContractChecker(Checker):
                     "a registry 'name'",
                     fix_hint="set the class attribute name = '<registry key>'",
                 )
-
-
-def _keyword(call: ast.Call, name: str) -> ast.expr | None:
-    for kw in call.keywords:
-        if kw.arg == name:
-            return kw.value
-    return None
-
-
-def _dict_literal_keys(node: ast.expr) -> set[str] | None:
-    """String keys of a dict display, or None when not a plain dict literal."""
-    if not isinstance(node, ast.Dict):
-        return None
-    keys: set[str] = set()
-    for key in node.keys:
-        if isinstance(key, ast.Constant) and isinstance(key.value, str):
-            keys.add(key.value)
-        elif key is None:
-            return None  # **spread: membership is undecidable
-    return keys
-
-
-def _direct_returns(func: ast.FunctionDef | ast.AsyncFunctionDef) -> list[ast.Return]:
-    """Return statements of ``func`` itself, skipping nested functions."""
-    out: list[ast.Return] = []
-
-    def visit(stmts: list[ast.stmt]) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            if isinstance(stmt, ast.Return):
-                out.append(stmt)
-            for fieldname in ("body", "orelse", "finalbody", "handlers"):
-                block = getattr(stmt, fieldname, None)
-                if isinstance(block, list):
-                    for item in block:
-                        if isinstance(item, ast.ExceptHandler):
-                            visit(item.body)
-                        else:
-                            visit([item])
-
-    visit(func.body)
-    return out
-
-
-@register_checker
-class BenchContractChecker(Checker):
-    """RC202: ``@register_bench`` workloads declare quick params and checks."""
-
-    name = "registry-bench"
-    code = "RC202"
-    description = (
-        "@register_bench workloads with params must declare quick_params, "
-        "and must return a dict literal carrying a 'check' entry"
-    )
-
-    def check_module(self, module: Module) -> Iterable[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            call = decorator_call(node, "register_bench")
-            if call is None:
-                continue
-            params = _keyword(call, "params")
-            quick = _keyword(call, "quick_params")
-            has_params = params is not None and not (
-                isinstance(params, ast.Dict) and not params.keys
-            )
-            if has_params and quick is None:
-                yield self.finding(
-                    module,
-                    call.lineno,
-                    f"bench workload {node.name!r} declares params but no "
-                    "quick_params",
-                    fix_hint=(
-                        "add quick_params (an explicit {} documents that the "
-                        "quick set deliberately equals the full set)"
-                    ),
-                )
-            for ret in _direct_returns(node):
-                if ret.value is None:
-                    yield self.finding(
-                        module,
-                        ret.lineno,
-                        f"bench workload {node.name!r} returns nothing; the "
-                        "harness requires a payload dict with a 'check' entry",
-                        fix_hint="return {'check': {...}} with the pinned scalars",
-                    )
-                    continue
-                keys = _dict_literal_keys(ret.value)
-                if keys is None:
-                    yield self.finding(
-                        module,
-                        ret.lineno,
-                        f"bench workload {node.name!r} returns a non-literal "
-                        "payload; the 'check' contract cannot be verified "
-                        "statically",
-                        fix_hint=(
-                            "return a dict literal with an explicit 'check' key "
-                            "so the science gate is visible in review"
-                        ),
-                    )
-                elif "check" not in keys:
-                    yield self.finding(
-                        module,
-                        ret.lineno,
-                        f"bench workload {node.name!r} returns a payload without "
-                        "a 'check' entry",
-                        fix_hint=(
-                            "add 'check': {...} with the scalar science outputs "
-                            "the --compare gate must pin"
-                        ),
-                    )
 
 
 def _impure_references(

@@ -1,8 +1,8 @@
 """Strict-JSON safety: every serialized payload routes through ``jsonable``.
 
-PR 4 fixed NaN/numpy-scalar leakage into ``BENCH_*.json`` ad hoc by
-introducing :func:`repro.util.jsonutil.jsonable`; this checker makes the
-rule structural.  Outside ``util/jsonutil.py`` itself, a
+NaN and numpy scalars leaking into report JSON are prevented by
+:func:`repro.util.jsonutil.jsonable`; this checker makes the rule
+structural.  Outside ``util/jsonutil.py`` itself, a
 ``json.dump``/``json.dumps`` call must either
 
 * serialize a payload wrapped in ``jsonable(...)`` (directly, or via a

@@ -3,7 +3,7 @@
 Each function here is an *executable version of a statement in the paper*:
 it returns measured quantities and (where the paper makes a sharp claim)
 raises ``AssertionError`` with a precise message when the structure
-disagrees.  The test suite and the Figure 2/3 benchmarks drive these.
+disagrees.  The test suite and the Figure 2/3 experiments drive these.
 """
 
 from __future__ import annotations
@@ -182,7 +182,7 @@ def degree_histogram(g: CDAG) -> dict[int, int]:
 
 
 def structure_report(scheme_name: str, k: int, build_dec=None, build_h=None) -> dict:
-    """One-stop structural summary used by the Figure 2 benchmark (E4).
+    """One-stop structural summary used by the Figure 2 experiment (E4).
 
     Builds ``Dec₁C``, ``H₁``, ``Dec_k C``, ``H_k`` (the four panels of
     Fig. 2) and returns their vital statistics plus the paper checks.

@@ -19,7 +19,7 @@ def layered_circulant_cdag(n: int, offsets: tuple[int, ...] = (1, 3, 7)) -> CDAG
 
     The acyclic analogue of a circulant graph — connected (via ``δ=1``),
     near-regular, and parameterized purely by ``n``, so the exact-expansion
-    benchmarks can pin check values on graphs of *any* size instead of being
+    tests can pin values on graphs of *any* size instead of being
     restricted to the vertex counts the ``Dec_k C`` family happens to hit.
     """
     if n < 2:

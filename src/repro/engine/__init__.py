@@ -15,8 +15,6 @@ Layers (bottom up):
   parallel-algorithm registry (algorithms × p-grid × replication c);
 * :mod:`repro.engine.planner` — the topology-aware auto-scheduler ranking
   registry configurations by predicted time under a memory limit;
-* :mod:`repro.engine.bench` — the benchmark-workload registry, the
-  ``BENCH_<tag>.json`` emitter, and the baseline-comparison gate;
 * :mod:`repro.engine.cli` — the ``python -m repro`` command-line front end.
 """
 
@@ -36,18 +34,6 @@ from repro.engine.builders import (
     cached_estimate,
     cached_h_graph,
     cached_spectrum,
-)
-from repro.engine.bench import (
-    BENCH_SCHEMA_VERSION,
-    BenchComparison,
-    BenchWorkload,
-    available_benches,
-    compare_benchmarks,
-    get_bench,
-    register_bench,
-    run_bench,
-    run_suite,
-    selected_benches,
 )
 from repro.engine.grid import GridPoint, GridReport, GridSpec, evaluate_point, run_grid
 from repro.engine.pool import (
@@ -91,16 +77,6 @@ __all__ = [
     "cached_estimate",
     "cached_h_graph",
     "cached_spectrum",
-    "BENCH_SCHEMA_VERSION",
-    "BenchComparison",
-    "BenchWorkload",
-    "available_benches",
-    "compare_benchmarks",
-    "get_bench",
-    "register_bench",
-    "run_bench",
-    "run_suite",
-    "selected_benches",
     "GridPoint",
     "GridReport",
     "GridSpec",

@@ -1,12 +1,10 @@
-"""``python -m repro`` — the sweeps the example/benchmark scripts do by hand.
+"""``python -m repro`` — the sweeps the example scripts do by hand.
 
 Subcommands:
 
 * ``sweep``     — cached (scheme × k × M × policy) grid, optionally parallel
 * ``scaling``   — cached strong-scaling sweep (parallel registry × p × c)
 * ``plan``      — topology-aware auto-scheduler: ranked plans per memory limit
-* ``bench``     — run the registered benchmark workloads, write
-  ``BENCH_<tag>.json``, optionally gate against a baseline
 * ``expansion`` — one ``h(Dec_k C)`` estimate through the cache
 * ``structure`` — the Figure 2 structural report for one (scheme, k)
 * ``schemes``   — the validated scheme registry
@@ -198,63 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--top", type=int, default=5, help="rows shown per memory limit (default 5)"
     )
     plan_cmd.add_argument("--json", action="store_true", help="emit the full report as JSON")
-
-    bench = sub.add_parser(
-        "bench",
-        help="run registered benchmark workloads and write BENCH_<tag>.json",
-    )
-    bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="use the reduced parameter sets (same workload selection)",
-    )
-    bench.add_argument(
-        "--workloads",
-        nargs="+",
-        default=None,
-        metavar="NAME",
-        help="subset of registry names (default: every registered workload)",
-    )
-    bench.add_argument(
-        "--rounds",
-        type=int,
-        default=None,
-        help="override the per-workload timed-round counts",
-    )
-    bench.add_argument("--tag", default="local", help="run label (default: local)")
-    bench.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="output path (default: BENCH_<tag>.json in the working directory)",
-    )
-    bench.add_argument(
-        "--compare",
-        default=None,
-        metavar="BASELINE",
-        help="baseline BENCH_*.json to gate against (non-zero exit on regression)",
-    )
-    bench.add_argument(
-        "--threshold",
-        type=float,
-        default=1.5,
-        help="slowdown ratio that counts as a regression (default: 1.5)",
-    )
-    bench.add_argument(
-        "--metric",
-        default="min",
-        choices=["min", "mean", "p50", "p90", "max"],
-        help="seconds statistic compared against the baseline (default: min)",
-    )
-    bench.add_argument(
-        "--no-strict-checks",
-        action="store_true",
-        help="report science-output drift vs the baseline without failing",
-    )
-    bench.add_argument(
-        "--list", action="store_true", help="list the registered workloads and exit"
-    )
-    bench.add_argument("--json", action="store_true", help="print the document to stdout")
 
     expansion = sub.add_parser("expansion", help="estimate h(Dec_k C) for one point")
     expansion.add_argument("--scheme", default="strassen")
@@ -506,77 +447,6 @@ def _cmd_plan(args: argparse.Namespace, cache: EngineCache, out: TextIO) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace, out: TextIO) -> int:
-    from repro.engine.bench import (
-        compare_benchmarks,
-        get_bench,
-        load_bench_file,
-        render_comparison,
-        run_suite,
-        selected_benches,
-        write_bench_file,
-    )
-    from repro.experiments.report import render_table
-
-    if args.list:
-        rows = []
-        for name in selected_benches(args.workloads, quick=args.quick):
-            w = get_bench(name)
-            rows.append(
-                {
-                    "workload": name,
-                    "group": w.group,
-                    "rounds": w.quick_rounds if args.quick else w.rounds,
-                    "warmup": w.warmup,
-                    "cold": w.cold,
-                    "description": w.description,
-                }
-            )
-        print(render_table(rows, title="registered benchmark workloads"), file=out)
-        return 0
-
-    doc = run_suite(
-        names=args.workloads,
-        quick=args.quick,
-        rounds=args.rounds,
-        tag=args.tag,
-        progress=lambda name: print(f"[bench] running {name} ...", file=sys.stderr),
-    )
-    path = args.out if args.out is not None else f"BENCH_{args.tag}.json"
-    write_bench_file(doc, path)
-    if args.json:
-        print(json.dumps(jsonable(doc), indent=2, allow_nan=False), file=out)
-    else:
-        rows = [
-            {
-                "workload": name,
-                "group": rec["group"],
-                "rounds": rec["rounds"],
-                "min_s": round(rec["seconds"]["min"], 4),
-                "p50_s": round(rec["seconds"]["p50"], 4),
-                "p90_s": round(rec["seconds"]["p90"], 4),
-                "builds": rec["cache"]["builds"],
-                "hits": rec["cache"]["hits"],
-            }
-            for name, rec in doc["workloads"].items()
-        ]
-        print(
-            render_table(rows, title=f"[bench] {len(rows)} workloads -> {path}"),
-            file=out,
-        )
-    if args.compare is None:
-        return 0
-    baseline = load_bench_file(args.compare)
-    cmp = compare_benchmarks(
-        doc,
-        baseline,
-        threshold=args.threshold,
-        metric=args.metric,
-    )
-    print(render_comparison(cmp), file=out)
-    return 1 if cmp.failed(strict_checks=not args.no_strict_checks) else 0
-
-
 def _cmd_expansion(args: argparse.Namespace, cache: EngineCache, out: TextIO) -> int:
     est = cached_estimate(
         args.scheme, args.k, policy=args.policy, cache=cache, jobs=args.jobs
@@ -737,8 +607,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_scaling(args, cache, out)
         if args.command == "plan":
             return _cmd_plan(args, cache, out)
-        if args.command == "bench":
-            return _cmd_bench(args, out)
         if args.command == "expansion":
             return _cmd_expansion(args, cache, out)
         if args.command == "structure":

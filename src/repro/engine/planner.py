@@ -137,6 +137,8 @@ def enumerate_plans(
     predicted time with a deterministic (words, messages, p, label)
     tie-break.
     """
+    if any(c < 1 for c in cs):
+        raise ValueError(f"enumerate_plans: every c in cs must be >= 1 (got {tuple(cs)})")
     topology = topology if topology is not None else Topology.uniform()
     cap = topology.capacity
     if p_max is None:

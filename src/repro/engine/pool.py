@@ -48,8 +48,8 @@ Lifecycle and failure semantics:
 Telemetry mirrors ``EngineCache.stats_snapshot()``: monotone counters
 (``pool_starts``, ``workers_spawned``, ``tasks_dispatched``,
 ``warm_dispatches``, ``respawns``, ``serial_tasks``) exposed through
-:func:`pool_stats_snapshot` / :class:`PoolStats` and surfaced into bench
-JSON (the per-workload ``pool`` block) and ``/cache/info``.
+:func:`pool_stats_snapshot` / :class:`PoolStats` and surfaced in
+``/cache/info``.
 
 Inside a worker the runtime is inert: ``submit_*`` runs inline (no nested
 pools), so call sites never need to guard against recursive fan-out.
@@ -456,7 +456,7 @@ def serial_fallback_reason() -> str | None:
 
 
 def pool_stats_snapshot() -> dict[str, int]:
-    """Point-in-time copy of the pool counters (bench/`/cache/info` feed)."""
+    """Point-in-time copy of the pool counters (the `/cache/info` feed)."""
     with _STATE_LOCK:
         return _STATS.as_dict()
 
@@ -499,7 +499,7 @@ def _discard_pool(pool: _WorkerPool) -> None:
 
 
 def shutdown_pool() -> None:
-    """Stop all workers (tests, bench cold runs, and the ``atexit`` hook).
+    """Stop all workers (tests, cold benchmark runs, and the ``atexit`` hook).
 
     Purely a lifecycle operation: counters and the fallback state survive,
     and the next pooled submission simply boots a fresh pool.

@@ -86,6 +86,8 @@ class ScalingSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "algos", tuple(self.algos))
         object.__setattr__(self, "cs", tuple(self.cs))
+        if any(c < 1 for c in self.cs):
+            raise ValueError(f"ScalingSpec: every c in cs must be >= 1 (got {self.cs})")
 
     def machine_topology(self) -> Topology:
         """The machine the sweep is costed on (uniform unless overridden)."""

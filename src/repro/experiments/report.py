@@ -1,7 +1,7 @@
 """Plain-text table rendering for experiment outputs.
 
 Every experiment returns rows of dicts; this module renders them in the
-aligned ASCII style the benchmarks print.
+aligned ASCII style the CLI and examples print.
 """
 
 from __future__ import annotations

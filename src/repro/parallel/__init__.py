@@ -9,10 +9,6 @@ API — a pure cost estimate and a simulation, both driven by one frozen
     cfg = ParallelConfig(n=56, p=49, scheme="strassen")
     get_parallel("caps").estimate(cfg)          # AnalyticCost — no arrays
     get_parallel("caps").execute(A, B, cfg)     # ParallelResult — simulation
-
-``run(A, B, p=...)`` remains as a compatibility shim over ``execute``
-(positional use warns once per algorithm); the legacy per-algorithm
-``*_multiply`` wrappers are gone.
 """
 
 from repro.parallel.base import (
@@ -23,7 +19,6 @@ from repro.parallel.base import (
     available_parallel,
     get_parallel,
     register_parallel,
-    run_parallel,
 )
 from repro.parallel.caps import quadtree_permutation, validate_caps_geometry
 
@@ -35,7 +30,6 @@ __all__ = [
     "available_parallel",
     "get_parallel",
     "register_parallel",
-    "run_parallel",
     "quadtree_permutation",
     "validate_caps_geometry",
 ]

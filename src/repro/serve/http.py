@@ -173,8 +173,8 @@ async def fetch_json(
 ) -> tuple[int, Any]:
     """One-shot stdlib client: ``(status, decoded JSON body)``.
 
-    Used by the tests, the load-bench workload, and the CI smoke script so
-    none of them need an HTTP client dependency.
+    Used by the tests and the CI smoke script so neither needs an HTTP
+    client dependency.
     """
     reader, writer = await asyncio.open_connection(host, port)
     try:

@@ -7,8 +7,7 @@ it is dispatched to an executor:
 * ``workers == 0`` (default) — a small thread pool in this process,
   sharing the service's :class:`~repro.engine.cache.EngineCache` directly.
   NumPy/SciPy kernels release the GIL, so threads already overlap the
-  heavy parts; this mode is also fully deterministic for tests and the
-  load bench.
+  heavy parts; this mode is also fully deterministic for tests.
 * ``workers > 0`` — jobs ship to the process-wide persistent worker pool
   (:mod:`repro.engine.pool`, pre-warmed at service start), each worker
   holding a private cache over the same disk root (the grid runner's
@@ -74,7 +73,7 @@ class ExpansionService:
     def __init__(self, config: ServeConfig, cache: EngineCache | None = None) -> None:
         self.config = config
         if cache is not None:
-            self.cache = cache  # injected by tests/bench; caps are theirs
+            self.cache = cache  # injected by tests; caps are theirs
         else:
             root = config.cache_dir if config.cache_dir is not None else default_cache_root()
             self.cache = EngineCache(

@@ -1,7 +1,7 @@
 """Strict-JSON sanitization shared by every report emitter.
 
 All the machine-readable outputs (`GridReport.to_json`,
-`ScalingReport.to_json`, the CLI's expansion payload, `BENCH_*.json`) are
+`ScalingReport.to_json`, the CLI's expansion payload, serve responses) are
 dumped with ``allow_nan=False`` so downstream parsers never see the
 non-standard ``NaN``/``Infinity`` tokens.  :func:`jsonable` is the single
 place the sanitization rule lives: non-finite floats map to ``None``,

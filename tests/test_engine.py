@@ -245,7 +245,7 @@ class TestStatsReset:
         assert after["builds"] == 0 and after["hits"] == 1
 
     def test_cold_warm_accounting_is_exact(self, cache):
-        # the bench harness's pattern: warm the cache, reset, then measure
+        # warm the cache, reset, then measure the warm phase alone
         cached_estimate("strassen", 2, cache=cache)
         cache.reset_stats()
         cached_estimate("strassen", 2, cache=cache)

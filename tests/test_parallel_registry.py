@@ -1,7 +1,5 @@
 """Tests for the parallel-algorithm registry and the planner-first API."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -10,12 +8,11 @@ from repro.parallel import (
     ParallelResult,
     available_parallel,
     get_parallel,
-    run_parallel,
 )
 from repro.util.matgen import integer_matrix
 
-#: Every (name, run kwargs) config exercised by the uniform-interface tests;
-#: all valid at n = 56.
+#: Every (name, ParallelConfig fields) pair exercised by the uniform-interface
+#: tests; all valid at n = 56.
 CONFIGS = [
     ("cannon", dict(p=16)),
     ("summa", dict(p=16)),
@@ -59,7 +56,7 @@ class TestUniformRun:
     @pytest.mark.parametrize("name,kwargs", CONFIGS)
     def test_exact_product_via_registry(self, name, kwargs):
         A, B = _pair(56)
-        r = run_parallel(name, A, B, verify=True, **kwargs)
+        r = get_parallel(name).execute(A, B, ParallelConfig(n=56, **kwargs), verify=True)
         assert isinstance(r, ParallelResult)
         assert np.array_equal(r.C, A @ B)
         assert r.verified is True
@@ -68,74 +65,61 @@ class TestUniformRun:
     @pytest.mark.parametrize("name,kwargs", CONFIGS)
     def test_result_carries_analytic_and_peaks(self, name, kwargs):
         A, B = _pair(56)
-        r = run_parallel(name, A, B, **kwargs)
+        r = get_parallel(name).execute(A, B, ParallelConfig(n=56, **kwargs))
         assert r.analytic is not None and r.analytic.words >= 0
         assert len(r.mem_peaks) == r.p
         assert max(r.mem_peaks) == r.max_mem_peak
         assert r.time(0.0, 1.0) <= r.critical_words  # coupled ≤ separable
         assert r.verified is None  # verify defaults off
 
-    @pytest.mark.parametrize("name,kwargs", CONFIGS)
-    def test_run_shim_matches_execute(self, name, kwargs):
-        A, B = _pair(56)
-        cfg = ParallelConfig(
-            n=56, p=kwargs["p"], c=kwargs.get("c", 1),
-            scheme="strassen" if name == "caps" else None,
-        )
-        via_shim = run_parallel(name, A, B, **kwargs)
-        via_execute = get_parallel(name).execute(A, B, cfg)
-        assert via_shim.critical_words == via_execute.critical_words
-        assert via_shim.critical_messages == via_execute.critical_messages
-        assert via_shim.max_mem_peak == via_execute.max_mem_peak
-        assert via_shim.algorithm == via_execute.algorithm
-        assert np.array_equal(via_shim.C, via_execute.C)
-
     def test_memory_limit_passes_through(self):
         A, B = _pair(56)
-        lean = run_parallel("caps", A, B, p=49, schedule="DBB").max_mem_peak
+        caps = get_parallel("caps")
+        lean = caps.execute(A, B, ParallelConfig(n=56, p=49, schedule="DBB")).max_mem_peak
         with pytest.raises(MemoryError):
-            run_parallel("caps", A, B, p=49, schedule="BB", memory_limit=lean)
+            caps.execute(A, B, ParallelConfig(n=56, p=49, schedule="BB", memory_limit=lean))
 
 
 class TestValidityPredicates:
     def test_cannon_requires_square_grid(self):
         A, B = _pair(12)
         with pytest.raises(ValueError, match="perfect square"):
-            run_parallel("cannon", A, B, p=12)
+            get_parallel("cannon").execute(A, B, ParallelConfig(n=12, p=12))
 
     def test_threed_requires_cube(self):
         A, B = _pair(12)
         with pytest.raises(ValueError, match="perfect cube"):
-            run_parallel("3d", A, B, p=16)
+            get_parallel("3d").execute(A, B, ParallelConfig(n=12, p=16))
 
     def test_two5d_requires_layered_square(self):
         A, B = _pair(24)
         with pytest.raises(ValueError, match="q²·c"):
-            run_parallel("2.5d", A, B, p=24, c=2)
+            get_parallel("2.5d").execute(A, B, ParallelConfig(n=24, p=24, c=2))
         with pytest.raises(ValueError, match="divisible by the"):
-            run_parallel("2.5d", A, B, p=48, c=3)  # q=4, 4 % 3 != 0
+            # q=4, 4 % 3 != 0
+            get_parallel("2.5d").execute(A, B, ParallelConfig(n=24, p=48, c=3))
 
     def test_caps_requires_power_of_rank(self):
         A, B = _pair(56)
         with pytest.raises(ValueError, match="power of the scheme's rank"):
-            run_parallel("caps", A, B, p=10)
+            get_parallel("caps").execute(A, B, ParallelConfig(n=56, p=10))
 
     def test_replication_rejected_by_non_replicating(self):
         A, B = _pair(16)
         with pytest.raises(ValueError, match="no replication factor"):
-            run_parallel("cannon", A, B, p=16, c=2)
+            get_parallel("cannon").execute(A, B, ParallelConfig(n=16, p=16, c=2))
 
     def test_scheme_rejected_by_non_scheme_driven(self):
         A, B = _pair(16)
         with pytest.raises(ValueError, match="not scheme-driven"):
-            run_parallel("cannon", A, B, p=16, scheme="strassen")
+            get_parallel("cannon").execute(A, B, ParallelConfig(n=16, p=16, scheme="strassen"))
 
     def test_unknown_option_rejected(self):
         A, B = _pair(16)
         with pytest.raises(TypeError, match="unexpected option"):
-            run_parallel("cannon", A, B, p=16, schedule="BB")
-        with pytest.raises(TypeError, match="memory_limt"):
-            run_parallel("cannon", A, B, p=16, memory_limt=10)  # typo'd kwarg
+            get_parallel("cannon").execute(A, B, ParallelConfig(n=16, p=16, schedule="BB"))
+        with pytest.raises(TypeError, match="memory_limt"):  # typo'd field
+            get_parallel("cannon").execute(A, B, ParallelConfig(n=16, p=16, memory_limt=10))
 
     def test_is_valid_predicate(self):
         cannon = get_parallel("cannon")
@@ -160,7 +144,7 @@ class TestAnalyticCosts:
     @pytest.mark.parametrize("name,kwargs", CONFIGS)
     def test_measured_within_constant_factor(self, name, kwargs):
         A, B = _pair(56)
-        r = run_parallel(name, A, B, **kwargs)
+        r = get_parallel(name).execute(A, B, ParallelConfig(n=56, **kwargs))
         a = r.analytic
         assert a.words > 0
         assert 0.25 <= r.critical_words / a.words <= 4.0
@@ -172,14 +156,14 @@ class TestAnalyticCosts:
         # so for the grid algorithms they are exact, not just Θ-correct
         A, B = _pair(56)
         for name, kwargs in CONFIGS[:4]:
-            r = run_parallel(name, A, B, **kwargs)
+            r = get_parallel(name).execute(A, B, ParallelConfig(n=56, **kwargs))
             assert r.critical_words == r.analytic.words
             assert r.critical_messages == r.analytic.messages
 
     def test_caps_word_formula_exact_for_schedules(self):
         A, B = _pair(112)
         for sched in ("BB", "DBB", "BDB", "BBD"):
-            r = run_parallel("caps", A, B, p=49, schedule=sched)
+            r = get_parallel("caps").execute(A, B, ParallelConfig(n=112, p=49, schedule=sched))
             assert r.critical_words == r.analytic.words
             assert r.critical_messages == r.analytic.messages
 
@@ -265,31 +249,3 @@ class TestEstimate:
                 assert isinstance(cfg, ParallelConfig)
                 assert cfg.p <= 64
                 algo.estimate(cfg)  # must not raise
-
-
-class TestRunShimDeprecation:
-    def test_positional_run_warns_once_per_algorithm(self):
-        from repro.parallel import base as parallel_base
-
-        A, B = _pair(16)
-        algo = get_parallel("cannon")
-        parallel_base._positional_run_warned.discard("cannon")
-        with pytest.warns(DeprecationWarning, match="positional arguments"):
-            r1 = algo.run(A, B, 16)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a second warning would fail
-            r2 = algo.run(A, B, 16)
-        assert np.array_equal(r1.C, r2.C)
-
-    def test_positional_p_conflicts_with_keyword(self):
-        A, B = _pair(16)
-        algo = get_parallel("cannon")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(TypeError, match="both positionally and by keyword"):
-                algo.run(A, B, 16, p=16)
-
-    def test_run_requires_p(self):
-        A, B = _pair(16)
-        with pytest.raises(TypeError, match="missing required argument"):
-            get_parallel("cannon").run(A, B)

@@ -171,6 +171,20 @@ class TestLifecycle:
             assert delta["warm_dispatches"] >= 2
             assert pool_runtime.pool_info()["live_workers"] == 2
 
+    def test_cold_then_warm_grid_sweep_spawns_nothing(self, fresh_pool):
+        # The second identical pooled sweep rides the live pool: same rows,
+        # no new processes, no new pool start.
+        spec = GridSpec.from_ranges(schemes=("strassen",), k_max=3, memories=(48, 192, 768, 3072))
+        cold = run_grid(spec, workers=2, cache=EngineCache(disk=False))
+        before = pool_runtime.pool_stats_snapshot()
+        assert before["workers_spawned"] == 2  # the cold sweep paid the spawns
+        warm = run_grid(spec, workers=2, cache=EngineCache(disk=False))
+        delta = pool_runtime._STATS.delta_since(before)
+        assert len(cold.rows) == 12
+        assert warm.rows == cold.rows
+        assert delta["workers_spawned"] == 0
+        assert delta["pool_starts"] == 0
+
     def test_kill_switch_runs_serial(self, fresh_pool, monkeypatch):
         monkeypatch.setenv(pool_runtime.POOL_ENV, "0")
         spec = GridSpec(

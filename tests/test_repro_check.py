@@ -94,7 +94,7 @@ class TestCacheFingerprint:
 
 
 # --------------------------------------------------------------------- #
-# RC201 / RC202 registry contracts                                      #
+# RC201 / RC203 registry contracts                                      #
 # --------------------------------------------------------------------- #
 
 
@@ -134,44 +134,6 @@ class TestRegistryContracts:
                     return None
             """,
             select=["registry-parallel"],
-        )
-        assert codes(report) == []
-
-    def test_bench_params_without_quick_params(self, tmp_path):
-        report = check_snippet(
-            tmp_path,
-            """
-            @register_bench("w", "cat", params={"n": 8})
-            def _bench_w(cache, n):
-                return {"wall": 1.0, "check": {"n": n}}
-            """,
-            select=["registry-bench"],
-        )
-        assert codes(report) == ["RC202"]
-        assert "quick_params" in report.findings[0].message
-
-    def test_bench_return_without_check_entry(self, tmp_path):
-        report = check_snippet(
-            tmp_path,
-            """
-            @register_bench("w", "cat", params={"n": 8}, quick_params={})
-            def _bench_w(cache, n):
-                return {"wall": 1.0}
-            """,
-            select=["registry-bench"],
-        )
-        assert codes(report) == ["RC202"]
-        assert "'check'" in report.findings[0].message
-
-    def test_bench_full_contract_is_clean(self, tmp_path):
-        report = check_snippet(
-            tmp_path,
-            """
-            @register_bench("w", "cat", params={"n": 8}, quick_params={"n": 2})
-            def _bench_w(cache, n):
-                return {"wall": 1.0, "check": {"n": n}}
-            """,
-            select=["registry-bench"],
         )
         assert codes(report) == []
 
@@ -802,7 +764,6 @@ class TestFramework:
             "bitset-dtype",
             "broad-except",
             "cache-fingerprint",
-            "registry-bench",
             "registry-parallel",
             "registry-pure-cost",
             "spawn-order",

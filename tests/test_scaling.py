@@ -109,7 +109,7 @@ class TestSweepCache:
         assert b["measured_words"] == a["measured_words"]
 
     def test_cached_time_matches_machine_time(self, tmp_path):
-        from repro.parallel import run_parallel
+        from repro.parallel import ParallelConfig, get_parallel
         from repro.util.matgen import integer_matrix
 
         cache = EngineCache(disk=False)
@@ -118,7 +118,7 @@ class TestSweepCache:
         )
         A = integer_matrix(56, seed=11)
         B = integer_matrix(56, seed=13)
-        r = run_parallel("caps", A, B, p=49)
+        r = get_parallel("caps").execute(A, B, ParallelConfig(n=56, p=49))
         assert row["time"] == pytest.approx(r.time(3.0, 0.25))
 
     def test_json_is_strict(self, sweep_report):
@@ -195,3 +195,19 @@ class TestSpecGeometry:
         spec = ScalingSpec(algos=("nonsense",), n=56, p_max=16)
         with pytest.raises(KeyError, match="unknown parallel algorithm"):
             spec.points()
+
+    @pytest.mark.parametrize("cs", [(0,), (-1,), (1, 0)])
+    def test_replication_factor_below_one_rejected(self, cs):
+        from repro.engine.planner import enumerate_plans
+
+        with pytest.raises(ValueError, match="cs must be >= 1"):
+            ScalingSpec(algos=("2.5d",), n=56, p_max=16, cs=cs)
+        with pytest.raises(ValueError, match="cs must be >= 1"):
+            enumerate_plans(56, cs=cs)
+
+    @pytest.mark.parametrize("command", ["scaling", "plan"])
+    def test_cli_rejects_replication_factor_zero(self, command, tmp_path, capsys):
+        from repro.engine.cli import main
+
+        assert main(["--cache-dir", str(tmp_path), command, "--cs", "0"]) == 2
+        assert "cs must be >= 1" in capsys.readouterr().err

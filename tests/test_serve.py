@@ -222,6 +222,15 @@ class TestEndpoints:
         status, body = _run_with_service(cache, scenario)
         assert status == 400
 
+    @pytest.mark.parametrize("route", ["/scaling", "/plan"])
+    @pytest.mark.parametrize("cs", ["0", "-1"])
+    def test_replication_factor_below_one_400_not_500(self, cache, route, cs):
+        async def scenario(svc):
+            return await _get(svc, f"{route}?cs={cs}")
+
+        status, body = _run_with_service(cache, scenario)
+        assert status == 400 and "cs must be >= 1" in body["error"]
+
     def test_post_405(self, cache):
         async def post(svc):
             return await fetch_json("127.0.0.1", svc.port, "/expansion", method="POST")
@@ -316,6 +325,29 @@ class TestSingleFlight:
         assert [r.status for r in responses] == [200] * clients
         assert errors == 0
         assert deduped == clients - 1  # one leader, everyone else rode along
+        assert cache.stats.builds == 3
+
+    def test_mixed_request_waves_build_once(self, cache):
+        """8 clients × 3 waves: one identical /expansion wave, then a mix of
+        cheap and cached routes.  24 answers, no errors, one build chain."""
+        clients, repeats = 8, 3
+        expansion = "/expansion?scheme=strassen&k=2"
+        rotation = (expansion, "/bounds?n=4096&M=256&p=64", expansion, "/healthz")
+
+        async def one_client(svc, idx):
+            statuses = []
+            for r in range(repeats):
+                target = expansion if r == 0 else rotation[(idx + r) % len(rotation)]
+                statuses.append((await _get(svc, target))[0])
+            return statuses
+
+        async def scenario(svc):
+            waves = await asyncio.gather(*(one_client(svc, i) for i in range(clients)))
+            return [s for wave in waves for s in wave]
+
+        statuses = _run_with_service(cache, scenario)
+        assert sum(s == 200 for s in statuses) == 24
+        assert sum(s != 200 for s in statuses) == 0
         assert cache.stats.builds == 3
 
     def test_warm_key_answers_without_new_flight(self, cache):
