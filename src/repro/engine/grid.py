@@ -208,17 +208,23 @@ def run_grid(
     concurrent population safe); their in-memory layers are per-process.
     Rows come back in deterministic point order regardless of worker count,
     and the stats aggregate hit/miss/build counters across all processes.
-    ``workers`` is clamped to the point count (a 2-point grid with
-    ``workers=8`` fans out over 2 processes, not 8), and the pool's serial
-    modes (``REPRO_POOL=0``, permanent fallback) run the same tasks inline
-    with bit-identical rows.
+
+    Points are ordered scheme, k, M, policy, so each run of
+    ``len(memories) * len(policies)`` consecutive points shares one
+    ``Dec_k`` graph and one spectrum; that run is one pool chunk, so no
+    (scheme, k) artifact is built by two workers.  ``workers`` is clamped
+    to the number of such groups (a 2-group grid with ``workers=8`` fans
+    out over 2 processes, not 8), and the pool's serial modes
+    (``REPRO_POOL=0``, permanent fallback) run the same tasks inline with
+    bit-identical rows.
     """
     cache = cache if cache is not None else default_cache()
     points = spec.points()
     start = time.perf_counter()
     stats = CacheStats()
     rows: list[dict] = []
-    n_workers = max(1, min(workers if workers is not None else 1, len(points)))
+    group = max(1, len(spec.memories) * len(spec.policies))
+    n_workers = max(1, min(workers if workers is not None else 1, len(points) // group))
     if n_workers <= 1:
         for point in points:
             before = cache.stats.as_dict()
@@ -230,7 +236,7 @@ def run_grid(
         root = str(cache.root) if cache.disk_enabled else None
         msgs = [(p.scheme, p.k, p.M, p.policy, root) for p in points]
         for row, delta in pool_runtime.submit_batch(
-            _pool_point_task, msgs, workers=n_workers
+            _pool_point_task, msgs, workers=n_workers, chunksize=group
         ):
             rows.append(row)
             for name, inc in delta.items():

@@ -29,7 +29,9 @@ list into roughly ``4 × workers`` contiguous chunks (override with
 ``chunksize=``), self-schedules chunks onto whichever worker frees up
 first, and reassembles results **in task order** — deterministic output
 for every worker count, which the exact engine's lexicographic
-``(h, mask)`` merge and the grid's row order rely on.
+``(h, mask)`` merge and the grid's row order rely on.  The grid passes
+one chunk per (scheme, k) artifact group, so no two workers build the
+same graph or eigensolve.
 
 Lifecycle and failure semantics:
 
@@ -43,7 +45,12 @@ Lifecycle and failure semantics:
   per process and the batch retried; a second breakage switches the
   runtime into permanent serial fallback, with the reason queryable via
   :func:`serial_fallback_reason`;
-* an ``atexit`` hook stops the workers at interpreter shutdown.
+* an ``atexit`` hook stops the workers at interpreter shutdown;
+* every worker starts with one BLAS thread: ``OPENBLAS_NUM_THREADS``,
+  ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` default to ``1`` in the
+  spawned process (a value the user set passes through), because the
+  pool's parallelism is its processes; the parent's environment and BLAS
+  threads are untouched.
 
 Telemetry mirrors ``EngineCache.stats_snapshot()``: monotone counters
 (``pool_starts``, ``workers_spawned``, ``tasks_dispatched``,
@@ -113,6 +120,11 @@ _CHUNKS_PER_WORKER = 4
 
 #: Per-worker context-store capacity (see :func:`worker_ctx`).
 _CTX_STORE_MAX = 8
+
+#: Thread-count variables a worker starts with set to ``"1"`` unless the
+#: user set them: N workers with default-width BLAS pools oversubscribe
+#: the CPUs.
+_WORKER_BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 # ---------------------------------------------------------------------- #
@@ -272,7 +284,17 @@ class _Worker:
             name=f"repro-pool-{index}",
             daemon=True,
         )
-        self.proc.start()
+        # The spawned interpreter copies the environment at exec time, before
+        # it imports numpy; set the unset BLAS vars only around start() so
+        # the parent's os.environ is unchanged afterwards.  Spawns run under
+        # the pool lock (see _WorkerPool.ensure), so they never overlap.
+        added = [name for name in _WORKER_BLAS_ENV if name not in os.environ]
+        os.environ.update(dict.fromkeys(added, "1"))
+        try:
+            self.proc.start()
+        finally:
+            for name in added:
+                del os.environ[name]
         child_conn.close()  # the parent's copy; the child holds its own
         self.conn = parent_conn
 
@@ -572,18 +594,21 @@ def submit_batch(
     """Run ``fn`` over ``tasks`` on the shared pool; results in task order.
 
     ``fn`` must be a module-level picklable function (checker RC401's
-    contract) taking one task message.  ``workers`` is clamped to the task
-    count and the ``REPRO_POOL_JOBS`` cap; a width of 1, the kill switch,
-    worker context, or permanent fallback all run the batch inline —
-    bit-identical results either way, which callers rely on.
+    contract) taking one task message.  ``workers`` is clamped to the
+    chunk count and the ``REPRO_POOL_JOBS`` cap, so no worker is spawned
+    that would get no chunk; a width of 1, the kill switch, worker
+    context, or permanent fallback all run the batch inline — bit-identical
+    results either way, which callers rely on.
     """
     tasks = list(tasks)
     if not tasks:
         return []
     workers = max(1, min(workers, len(tasks), max_pool_workers()))
+    chunks = _chunk_tasks(tasks, workers, chunksize)
+    workers = min(workers, len(chunks))
     if workers <= 1 or not pool_enabled():
         return _run_serial(fn, tasks)
-    return _run_pooled(fn, tasks, _chunk_tasks(tasks, workers, chunksize), workers)
+    return _run_pooled(fn, tasks, chunks, workers)
 
 
 def submit_one(fn: Callable[[Any], Any], task: Any) -> Any:

@@ -45,6 +45,10 @@ def _arange(n: int) -> np.ndarray:
     return np.arange(n, dtype=np.uint64)
 
 
+def _getenv(name: str) -> str | None:
+    return os.getenv(name)
+
+
 def _crash_in_worker(x: int) -> tuple[str, int]:
     """Kill the hosting *worker*; inert when run inline in the parent."""
     if pool_runtime.in_worker():
@@ -123,6 +127,13 @@ class TestSubmitBatch:
         delta = pool_runtime._STATS.delta_since(before)
         assert 0 < delta["workers_spawned"] <= 3
 
+    def test_workers_clamped_to_chunk_count(self, fresh_pool):
+        # 8 tasks in chunks of 4 keep 2 workers busy; a width-4 request
+        # must not spawn 2 more that would get no chunk.
+        out = pool_runtime.submit_batch(_square, range(8), workers=4, chunksize=4)
+        assert out == [x * x for x in range(8)]
+        assert pool_runtime.pool_stats_snapshot()["workers_spawned"] == 2
+
     def test_env_cap_limits_pool_size(self, fresh_pool, monkeypatch):
         monkeypatch.setenv(pool_runtime.POOL_JOBS_ENV, "2")
         before = pool_runtime.pool_stats_snapshot()
@@ -151,8 +162,10 @@ def _reciprocal(x: int) -> float:
 
 class TestLifecycle:
     def test_warm_reuse_across_grid_exact_and_serve(self, fresh_pool):
+        # Two (scheme, k) groups: a grid fans out over at most one worker
+        # per group, so a one-group grid would run inline.
         spec = GridSpec(
-            schemes=("strassen",), ks=(1,), memories=(48, 192), policies=("auto",)
+            schemes=("strassen",), ks=(1, 2), memories=(48, 192), policies=("auto",)
         )
         with tempfile.TemporaryDirectory() as root:
             run_grid(spec, workers=2, cache=EngineCache(root + "/grid"))
@@ -237,6 +250,26 @@ class TestLifecycle:
         assert delta["warm_dispatches"] == 1
 
 
+class TestWorkerBlasEnv:
+    @pytest.mark.parametrize(
+        ("user_value", "expected"), [(None, ["1", "1", "1"]), ("2", ["2", "1", "1"])]
+    )
+    def test_workers_start_with_one_blas_thread(
+        self, fresh_pool, monkeypatch, user_value, expected
+    ):
+        # Unset vars default to "1" in the worker; a user value passes
+        # through; the parent's environment is the same after the spawn.
+        for name in pool_runtime._WORKER_BLAS_ENV:
+            monkeypatch.delenv(name, raising=False)
+        if user_value is not None:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", user_value)
+        parent_env = dict(os.environ)
+        names = list(pool_runtime._WORKER_BLAS_ENV)
+        assert pool_runtime.submit_batch(_getenv, names, workers=2) == expected
+        assert pool_runtime.pool_stats_snapshot()["serial_tasks"] == 0
+        assert dict(os.environ) == parent_env
+
+
 # --------------------------------------------------------------------- #
 # determinism: identical results for every worker count                  #
 # --------------------------------------------------------------------- #
@@ -269,3 +302,14 @@ class TestDeterminism:
             for w in (2, 3):
                 par = run_grid(spec, workers=w, cache=EngineCache(root + f"/w{w}"))
                 assert par.rows == serial.rows
+
+    def test_pooled_cold_grid_builds_each_artifact_once(self, fresh_pool):
+        # Memory-only caches are private to each process, so a (scheme, k)
+        # group split across two workers would rebuild its graph and
+        # estimate there; the pooled build count must equal the serial one.
+        spec = GridSpec(("strassen",), (2, 3), (48, 192, 768, 3072))
+        serial = run_grid(spec, workers=1, cache=EngineCache(disk=False))
+        pooled = run_grid(spec, workers=2, cache=EngineCache(disk=False))
+        assert pool_runtime.pool_stats_snapshot()["tasks_dispatched"] == 8
+        assert pooled.stats["builds"] == serial.stats["builds"]
+        assert pooled.rows == serial.rows
