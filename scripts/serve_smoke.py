@@ -4,8 +4,11 @@
 Boots the real CLI entry point as a subprocess on a free port, fires a
 concurrent request mix (an identical-``/expansion`` wave to exercise
 single-flight, plus ``/bounds``, ``/sweep`` and ``/healthz``), and checks
-every response plus the ``/cache/info`` counters.  Exits non-zero on any
-failure; prints one summary line on success.
+every response plus the ``/cache/info`` counters.  With ``--workers 0``
+the service's build count must equal the builds of the mix's distinct jobs
+run one after another over a fresh memory-only cache: racing requests may
+not build any artifact twice.  Exits non-zero on any failure; prints one
+summary line on success.
 
 Usage::
 
@@ -23,12 +26,22 @@ import subprocess
 import sys
 import tempfile
 import time
+from urllib.parse import parse_qsl, urlsplit
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from repro.engine.cache import EngineCache  # noqa: E402
 from repro.serve.http import fetch_json  # noqa: E402
+from repro.serve.jobs import JOB_KINDS, build_payload, parse_job  # noqa: E402
 
 CLIENTS = 8
+EXPANSION = "/expansion?scheme=strassen&k=2"
+MIX = [EXPANSION] * CLIENTS + [  # the identical wave first: single-flight's job
+    "/bounds?n=4096&M=256&p=64",
+    "/sweep?schemes=strassen&k_min=1&k_max=2&memories=48",
+    EXPANSION,
+    "/healthz",
+]
 
 
 def free_port() -> int:
@@ -53,17 +66,24 @@ def wait_until_up(port: int, proc: subprocess.Popen, deadline_s: float = 30.0) -
     raise SystemExit("service did not come up within the deadline")
 
 
+def serial_builds() -> int:
+    """Artifact builds of the mix's distinct jobs, run one by one in-process."""
+    cache = EngineCache(disk=False)
+    jobs = {}
+    for target in MIX:
+        split = urlsplit(target)
+        kind = split.path.strip("/")
+        if kind in JOB_KINDS:
+            job = parse_job(kind, dict(parse_qsl(split.query, keep_blank_values=True)))
+            jobs[job.key()] = job
+    for job in jobs.values():
+        build_payload(job, cache)
+    return cache.stats.builds
+
+
 async def hammer(port: int) -> dict:
-    expansion = "/expansion?scheme=strassen&k=2"
-    mix = [expansion] * CLIENTS  # the identical wave: single-flight's job
-    mix += [
-        "/bounds?n=4096&M=256&p=64",
-        "/sweep?schemes=strassen&k_min=1&k_max=2&memories=48",
-        expansion,
-        "/healthz",
-    ]
-    results = await asyncio.gather(*(fetch_json("127.0.0.1", port, t) for t in mix))
-    failures = [(t, s) for t, (s, _) in zip(mix, results) if s != 200]
+    results = await asyncio.gather(*(fetch_json("127.0.0.1", port, t) for t in MIX))
+    failures = [(t, s) for t, (s, _) in zip(MIX, results) if s != 200]
     if failures:
         raise SystemExit(f"non-200 responses: {failures}")
     bodies = [body for _, body in results[:CLIENTS]]
@@ -113,8 +133,13 @@ def main() -> int:
     stats = info["stats"]
     if service["errors"] != 0:
         raise SystemExit(f"service counted {service['errors']} errors")
-    if args.workers == 0 and stats["builds"] == 0:
-        raise SystemExit("expected at least one build through the shared cache")
+    if args.workers == 0:
+        expected = serial_builds()
+        if stats["builds"] != expected:
+            raise SystemExit(
+                f"service built {stats['builds']} artifacts; the mix run serially builds "
+                f"{expected}"
+            )
     print(
         f"serve smoke ok: {service['requests']} requests, "
         f"{service['deduped']} deduped, builds={stats['builds']}, "

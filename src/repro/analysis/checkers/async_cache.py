@@ -10,12 +10,12 @@ therefore guards shared-cache access with an ``asyncio.Lock``; this
 checker makes that discipline structural:
 
 * **RC403** — inside an ``async def``, a call to a cache-touching method
-  (``get_object``, ``put_object``, ``put_arrays``, ``count_build``,
+  (``get_object``, ``put_object``, ``put_arrays``, ``get_or_build``,
   ``merge_stats``, ``reset_stats``, ``clear``) on a receiver whose
   expression mentions a cache must sit lexically inside a ``with`` /
-  ``async with`` block whose context manager mentions a lock.  Blocking
-  helpers like ``single_flight`` own their locking but must not run on
-  the event loop anyway — dispatch them to an executor.
+  ``async with`` block whose context manager mentions a lock.
+  ``get_or_build`` blocks on a per-key thread lock and may run a whole
+  build, so it belongs in an executor, not on the event loop.
 
 Active only in modules importing ``asyncio`` — synchronous code paths
 rely on the cache's internal locks and are out of scope.
@@ -39,7 +39,7 @@ CACHE_TOUCHING_METHODS = frozenset(
         "get_object",
         "put_object",
         "put_arrays",
-        "count_build",
+        "get_or_build",
         "merge_stats",
         "reset_stats",
         "clear",
@@ -114,7 +114,7 @@ class AsyncCacheLockChecker(Checker):
                     f"{ast.unparse(target)}() outside a lock block",
                     fix_hint=(
                         "wrap the compound cache operation in `async with "
-                        "self._lock:` (or run it in the executor via "
-                        "single_flight) so it cannot interleave at an await"
+                        "self._lock:` (or run get_or_build in the executor) "
+                        "so it cannot interleave at an await"
                     ),
                 )

@@ -1,9 +1,11 @@
 """Cache-backed constructors for the artifacts the experiments consume.
 
-Each builder checks the decoded-object layer, then the disk layer, and only
-then constructs from scratch (recording a *build* in the cache stats — a
-warm sweep reports zero builds).  Round-trips are bit-identical: the arrays
-are stored exactly as the constructors produced them.
+Each builder is a key, a build call and an encode/decode pair handed to
+:meth:`~repro.engine.cache.EngineCache.get_or_build`, which checks the
+decoded-object layer, then the disk layer, and only then constructs from
+scratch (recording a *build* in the cache stats — a warm sweep reports zero
+builds).  Round-trips are bit-identical: the arrays are stored exactly as
+the constructors produced them.
 """
 
 from __future__ import annotations
@@ -47,6 +49,30 @@ def _resolve(scheme: BilinearScheme | str) -> BilinearScheme:
     return get_scheme(scheme) if isinstance(scheme, str) else scheme
 
 
+def _encode_cdag(g: CDAG) -> dict[str, np.ndarray]:
+    return {
+        "n_vertices": np.int64(g.n_vertices),
+        "src": g.src,
+        "dst": g.dst,
+        "kinds": g.kinds,
+        "levels": g.levels,
+    }
+
+
+def _decode_cdag(data: dict[str, np.ndarray]) -> CDAG:
+    return CDAG(
+        n_vertices=int(data["n_vertices"]),
+        src=data["src"],
+        dst=data["dst"],
+        kinds=data["kinds"],
+        levels=data["levels"],
+    )
+
+
+#: The named vertex regions an :class:`HGraph` stores beside its CDAG.
+_H_REGIONS = ("a_inputs", "b_inputs", "mult_ids", "output_ids", "dec_ids")
+
+
 def cached_dec_graph(
     scheme: BilinearScheme | str,
     k: int,
@@ -56,34 +82,12 @@ def cached_dec_graph(
     """``Dec_k C`` through the cache (drop-in for :func:`dec_graph`)."""
     scheme = _resolve(scheme)
     cache = cache if cache is not None else default_cache()
-    key = cache_key("dec", scheme, k=k, expand_trees=expand_trees)
-    g = cache.get_object(key)
-    if g is not None:
-        return g
-    data = cache.get_arrays(key)
-    if data is not None:
-        g = CDAG(
-            n_vertices=int(data["n_vertices"]),
-            src=data["src"],
-            dst=data["dst"],
-            kinds=data["kinds"],
-            levels=data["levels"],
-        )
-    else:
-        cache.count_build()
-        g = dec_graph(scheme, k, expand_trees=expand_trees)
-        cache.put_arrays(
-            key,
-            {
-                "n_vertices": np.int64(g.n_vertices),
-                "src": g.src,
-                "dst": g.dst,
-                "kinds": g.kinds,
-                "levels": g.levels,
-            },
-        )
-    cache.put_object(key, g)
-    return g
+    return cache.get_or_build(
+        cache_key("dec", scheme, k=k, expand_trees=expand_trees),
+        lambda: dec_graph(scheme, k, expand_trees=expand_trees),
+        _encode_cdag,
+        _decode_cdag,
+    )
 
 
 def cached_h_graph(
@@ -94,49 +98,20 @@ def cached_h_graph(
     """``H_k`` (with its named vertex regions) through the cache."""
     scheme = _resolve(scheme)
     cache = cache if cache is not None else default_cache()
-    key = cache_key("h", scheme, k=k)
-    hg = cache.get_object(key)
-    if hg is not None:
-        return hg
-    data = cache.get_arrays(key)
-    if data is not None:
-        cdag = CDAG(
-            n_vertices=int(data["n_vertices"]),
-            src=data["src"],
-            dst=data["dst"],
-            kinds=data["kinds"],
-            levels=data["levels"],
-        )
-        hg = HGraph(
-            cdag=cdag,
-            a_inputs=data["a_inputs"],
-            b_inputs=data["b_inputs"],
-            mult_ids=data["mult_ids"],
-            output_ids=data["output_ids"],
-            dec_ids=data["dec_ids"],
+    return cache.get_or_build(
+        cache_key("h", scheme, k=k),
+        lambda: h_graph(scheme, k),
+        lambda hg: {
+            **_encode_cdag(hg.cdag),
+            **{name: getattr(hg, name) for name in _H_REGIONS},
+        },
+        lambda data: HGraph(
+            cdag=_decode_cdag(data),
             k=k,
             scheme_name=scheme.name,
-        )
-    else:
-        cache.count_build()
-        hg = h_graph(scheme, k)
-        cache.put_arrays(
-            key,
-            {
-                "n_vertices": np.int64(hg.cdag.n_vertices),
-                "src": hg.cdag.src,
-                "dst": hg.cdag.dst,
-                "kinds": hg.cdag.kinds,
-                "levels": hg.cdag.levels,
-                "a_inputs": hg.a_inputs,
-                "b_inputs": hg.b_inputs,
-                "mult_ids": hg.mult_ids,
-                "output_ids": hg.output_ids,
-                "dec_ids": hg.dec_ids,
-            },
-        )
-    cache.put_object(key, hg)
-    return hg
+            **{name: data[name] for name in _H_REGIONS},
+        ),
+    )
 
 
 def cached_spectrum(
@@ -152,21 +127,12 @@ def cached_spectrum(
     """
     scheme = _resolve(scheme)
     cache = cache if cache is not None else default_cache()
-    key = cache_key("spectrum", scheme, k=k)
-    cached = cache.get_object(key)
-    if cached is not None:
-        return cached
-    data = cache.get_arrays(key)
-    if data is not None:
-        result = (float(data["lower"]), data["fiedler"])
-    else:
-        cache.count_build()
-        g = cached_dec_graph(scheme, k, cache=cache)
-        lower, fiedler = spectral_lower_bound(g)
-        result = (lower, fiedler)
-        cache.put_arrays(key, {"lower": np.float64(lower), "fiedler": fiedler})
-    cache.put_object(key, result)
-    return result
+    return cache.get_or_build(
+        cache_key("spectrum", scheme, k=k),
+        lambda: spectral_lower_bound(cached_dec_graph(scheme, k, cache=cache)),
+        lambda result: {"lower": np.float64(result[0]), "fiedler": result[1]},
+        lambda data: (float(data["lower"]), data["fiedler"]),
+    )
 
 
 def _compute_estimate(
@@ -217,6 +183,24 @@ def _compute_estimate(
     raise ValueError(f"unknown estimate policy {policy!r}; choose from {POLICIES}")
 
 
+def _encode_estimate(est: ExpansionEstimate) -> dict[str, np.ndarray]:
+    iv = est.interval()
+    return {
+        "lower": np.float64(est.lower),
+        "upper": np.float64(est.upper),
+        "witness_size": np.int64(est.witness_size),
+        "witness_boundary": np.int64(est.witness_boundary),
+        "degree": np.int64(est.degree),
+        "method": np.asarray(est.method),
+        # The certified interval: lower differs from the raw estimate only
+        # for cone-only rows (NaN → trivial 0) and zero-boundary witnesses
+        # (h = 0 proven), and the provenance tag names the proof path, so
+        # cache readers get the certificate without re-deriving it.
+        "interval_lower": np.float64(iv.lower),
+        "provenance": np.asarray(iv.provenance),
+    }
+
+
 def cached_estimate(
     scheme: BilinearScheme | str,
     k: int,
@@ -255,40 +239,16 @@ def cached_estimate(
         )
     else:
         key = cache_key("estimate", scheme, k=k, policy=policy)
-    est = cache.get_object(key)
-    if est is not None:
-        return est
-    data = cache.get_arrays(key)
-    if data is not None:
-        est = ExpansionEstimate(
+    return cache.get_or_build(
+        key,
+        lambda: _compute_estimate(scheme, k, policy, cache, jobs=jobs),
+        _encode_estimate,
+        lambda data: ExpansionEstimate(
             lower=float(data["lower"]),
             upper=float(data["upper"]),
             witness_size=int(data["witness_size"]),
             witness_boundary=int(data["witness_boundary"]),
             degree=int(data["degree"]),
             method=str(data["method"]),
-        )
-    else:
-        cache.count_build()
-        est = _compute_estimate(scheme, k, policy, cache, jobs=jobs)
-        iv = est.interval()
-        cache.put_arrays(
-            key,
-            {
-                "lower": np.float64(est.lower),
-                "upper": np.float64(est.upper),
-                "witness_size": np.int64(est.witness_size),
-                "witness_boundary": np.int64(est.witness_boundary),
-                "degree": np.int64(est.degree),
-                "method": np.asarray(est.method),
-                # The certified interval: lower differs from the raw
-                # estimate only for cone-only rows (NaN → trivial 0) and
-                # zero-boundary witnesses (h = 0 proven), and the provenance
-                # tag names the proof path, so cache readers get the
-                # certificate without re-deriving it.
-                "interval_lower": np.float64(iv.lower),
-                "provenance": np.asarray(iv.provenance),
-            },
-        )
-    cache.put_object(key, est)
-    return est
+        ),
+    )

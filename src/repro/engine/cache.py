@@ -26,11 +26,12 @@ process skip both the disk and array re-validation.
 
 Concurrency: every public method is safe to call from multiple threads of
 one process (the serving layer's executor threads share one instance).
-Cross-thread build deduplication is explicit — :meth:`EngineCache.lock`
-hands out one mutex per key and :meth:`EngineCache.single_flight` wraps the
-check/build/store cycle in it, so N concurrent identical requests run the
-build exactly once.  Cross-*process* writers need no locks at all: the
-atomic-rename protocol makes concurrent same-key writers idempotent.
+:meth:`EngineCache.get_or_build` is the one cache-or-build path: it holds a
+per-key mutex across the memory → disk → build cycle, so N threads asking
+for one artifact run its build exactly once.  Keys nest acyclically
+(estimate → spectrum → graph), so the per-key locks cannot deadlock.
+Cross-*process* writers need no locks at all: the atomic-rename protocol
+makes concurrent same-key writers idempotent.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, TypeVar
 
 import numpy as np
 
@@ -64,6 +65,8 @@ __all__ = [
 ]
 
 _ENV_VAR = "REPRO_CACHE_DIR"
+
+_T = TypeVar("_T")
 
 #: Attempts per put_arrays call before the call is abandoned (transient
 #: OSErrors — e.g. one ENOSPC mid-sweep — must not poison later stores).
@@ -302,7 +305,7 @@ class EngineCache:
     # build coordination                                                   #
     # ------------------------------------------------------------------ #
 
-    def lock(self, key: str) -> threading.Lock:
+    def _key_lock(self, key: str) -> threading.Lock:
         """The per-key mutex serializing concurrent builds of one artifact."""
         with self._lock:
             lk = self._key_locks.get(key)
@@ -310,21 +313,33 @@ class EngineCache:
                 lk = self._key_locks[key] = threading.Lock()
             return lk
 
-    def single_flight(self, key: str, build: Callable[[], Any]) -> Any:
-        """Return the decoded object for ``key``, building at most once.
+    def get_or_build(
+        self,
+        key: str,
+        build: Callable[[], _T],
+        encode: Callable[[_T], dict[str, np.ndarray]],
+        decode: Callable[[dict[str, np.ndarray]], _T],
+    ) -> _T:
+        """The object for ``key`` from memory, else from disk, else ``build()``.
 
-        Concurrent callers with the same key block on the per-key lock; the
-        first runs ``build()`` and stores the result, the rest re-check the
-        memory tier and hit.  ``build`` must return a non-None object.
+        A disk hit is ``decode``-d; a build is counted, then ``encode``-d and
+        stored to disk.  Either miss path retains the object in memory.  The
+        whole cycle runs under the key's lock: concurrent callers of one key
+        build it once, and the followers count a memory hit.  ``build`` must
+        return a non-None object.
         """
-        obj = self.get_object(key)
-        if obj is not None:
-            return obj
-        with self.lock(key):
+        with self._key_lock(key):
             obj = self.get_object(key)
             if obj is not None:
                 return obj
-            obj = build()
+            data = self.get_arrays(key)
+            if data is not None:
+                obj = decode(data)
+            else:
+                with self._lock:
+                    self.stats.builds += 1
+                obj = build()
+                self.put_arrays(key, encode(obj))
             self.put_object(key, obj)
             return obj
 
@@ -389,11 +404,6 @@ class EngineCache:
                 with self._lock:
                     self._disk_degraded = False
                 return
-
-    def count_build(self) -> None:
-        """Record one full artifact construction (called by the builders)."""
-        with self._lock:
-            self.stats.builds += 1
 
     # ------------------------------------------------------------------ #
     # stats accounting                                                     #

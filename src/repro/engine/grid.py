@@ -226,12 +226,9 @@ def run_grid(
     group = max(1, len(spec.memories) * len(spec.policies))
     n_workers = max(1, min(workers if workers is not None else 1, len(points) // group))
     if n_workers <= 1:
-        for point in points:
-            before = cache.stats.as_dict()
-            rows.append(evaluate_point(point, cache=cache))
-            delta = cache.stats.delta_since(before)
-            for name, inc in delta.items():
-                setattr(stats, name, getattr(stats, name) + inc)
+        before = cache.stats.as_dict()
+        rows = [evaluate_point(point, cache=cache) for point in points]
+        stats.merge(cache.stats.delta_since(before))
     else:
         root = str(cache.root) if cache.disk_enabled else None
         msgs = [(p.scheme, p.k, p.M, p.policy, root) for p in points]
@@ -239,8 +236,7 @@ def run_grid(
             _pool_point_task, msgs, workers=n_workers, chunksize=group
         ):
             rows.append(row)
-            for name, inc in delta.items():
-                setattr(stats, name, getattr(stats, name) + inc)
+            stats.merge(delta)
     return GridReport(
         spec=spec,
         rows=rows,

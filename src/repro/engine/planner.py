@@ -213,28 +213,19 @@ def plan(
         cs=tuple(cs),
         algos=tuple(algos) if algos is not None else None,
     )
-    cached = cache.get_object(key)
-    if cached is None:
-        data = cache.get_arrays(key)
-        if data is not None:
-            cached = json.loads(str(data["rows"]))
-        else:
-            cache.count_build()
-            plans, searched = enumerate_plans(
-                n,
-                scheme,
-                topology,
-                memory_limit,
-                p_max=p_max,
-                cs=cs,
-                algos=algos,
-            )
-            cached = {"rows": [pl.as_dict() for pl in plans], "searched": searched}
-            cache.put_arrays(
-                key,
-                {"rows": np.asarray(json.dumps(jsonable(cached), allow_nan=False))},
-            )
-        cache.put_object(key, cached)
+
+    def search() -> dict:
+        plans, searched = enumerate_plans(
+            n, scheme, topology, memory_limit, p_max=p_max, cs=cs, algos=algos
+        )
+        return {"rows": [pl.as_dict() for pl in plans], "searched": searched}
+
+    cached = cache.get_or_build(
+        key,
+        search,
+        lambda found: {"rows": np.asarray(json.dumps(jsonable(found), allow_nan=False))},
+        lambda data: json.loads(str(data["rows"])),
+    )
     return [Plan.from_dict(row) for row in cached["rows"]]
 
 

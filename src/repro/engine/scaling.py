@@ -40,7 +40,7 @@ import numpy as np
 from repro.cdag.schemes import get_scheme
 from repro.core.bounds import scaling_regime
 from repro.engine import pool as pool_runtime
-from repro.engine.cache import EngineCache, cache_key, default_cache
+from repro.engine.cache import CacheStats, EngineCache, cache_key, default_cache
 from repro.parallel.base import ParallelConfig, get_parallel
 from repro.topology import Topology
 from repro.util.jsonutil import jsonable
@@ -239,29 +239,22 @@ def _cached_measure(point: ScalingPoint, cache: EngineCache) -> dict:
         memory_limit=point.memory_limit,
         seed=point.seed,
     )
-    measured = cache.get_object(key)
-    if measured is not None:
-        return measured
-    data = cache.get_arrays(key)
-    if data is not None:
-        measured = {name: int(data[name]) for name in _MEASURED_INTS}
-        measured["step_words"] = data["step_words"]
-        measured["step_msgs"] = data["step_msgs"]
-        measured["label"] = str(data["label"])
-    else:
-        cache.count_build()
-        measured = _measure(point)
-        cache.put_arrays(
-            key,
-            {
-                **{name: np.int64(measured[name]) for name in _MEASURED_INTS},
-                "step_words": measured["step_words"],
-                "step_msgs": measured["step_msgs"],
-                "label": np.asarray(measured["label"]),
-            },
-        )
-    cache.put_object(key, measured)
-    return measured
+    return cache.get_or_build(
+        key,
+        lambda: _measure(point),
+        lambda measured: {
+            **{name: np.int64(measured[name]) for name in _MEASURED_INTS},
+            "step_words": measured["step_words"],
+            "step_msgs": measured["step_msgs"],
+            "label": np.asarray(measured["label"]),
+        },
+        lambda data: {
+            **{name: int(data[name]) for name in _MEASURED_INTS},
+            "step_words": data["step_words"],
+            "step_msgs": data["step_msgs"],
+            "label": str(data["label"]),
+        },
+    )
 
 
 def evaluate_scaling_point(
@@ -357,27 +350,25 @@ def scaling_sweep(
     topology = spec.machine_topology()
     points = spec.points()
     n_workers = max(1, min(workers if workers is not None else 1, len(points) or 1))
+    stats = CacheStats()
     if n_workers <= 1:
         before = cache.stats.as_dict()
         rows = [
             evaluate_scaling_point(pt, cache=cache, topology=topology) for pt in points
         ]
-        stats = cache.stats.delta_since(before)
+        stats.merge(cache.stats.delta_since(before))
     else:
         root = str(cache.root) if cache.disk_enabled else None
         msgs = [(pt, root, topology) for pt in points]
         rows = []
-        totals: dict[str, int] = {}
         for row, delta in pool_runtime.submit_batch(
             _pool_scaling_task, msgs, workers=n_workers
         ):
             rows.append(row)
-            for name, inc in delta.items():
-                totals[name] = totals.get(name, 0) + inc
-        stats = totals
+            stats.merge(delta)
     return ScalingReport(
         spec=spec,
         rows=rows,
-        stats=stats,
+        stats=stats.as_dict(),
         wall_time=time.perf_counter() - start,
     )

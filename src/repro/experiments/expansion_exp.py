@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.cdag.schemes import get_scheme
 from repro.core.expansion import EXACT_LIMIT
 from repro.engine.builders import cached_dec_graph, cached_estimate
@@ -100,25 +102,20 @@ def small_set_profile(
     s = get_scheme(scheme)
     ratio = s.c_blocks / s.t0
     cache = cache if cache is not None else default_cache()
-    key = cache_key("small_set_profile", s, k=k)
-    result = cache.get_object(key)
-    if result is not None:
-        return result
-    data = cache.get_arrays(key)
-    if data is not None:
-        branch = int(data["branch"])
-        rows = [
-            {
-                "cone_depth": int(depth),
-                "set_size": int(size),
-                "h_of_cut": float(h),
-                "(c0/t0)^depth": ratio ** int(depth),
-                "ratio": float(h) / ratio ** int(depth),
-            }
-            for depth, size, h in zip(data["depths"], data["sizes"], data["hs"])
-        ]
-    else:
-        cache.count_build()
+
+    def row(depth: int, size: int, h: float) -> dict:
+        return {
+            "cone_depth": depth,
+            "set_size": size,
+            "h_of_cut": h,
+            "(c0/t0)^depth": ratio**depth,
+            "ratio": h / ratio**depth,
+        }
+
+    def profile(branch: int, rows: list[dict]) -> dict:
+        return {"rows": rows, "scheme": scheme, "k": k, "branch": branch}
+
+    def build() -> dict:
         g = cached_dec_graph(s, k, cache=cache)
         # pick the branch whose W column is sparsest (cheapest cone boundary)
         col_nnz = (s.W != 0).sum(axis=0)
@@ -129,27 +126,23 @@ def small_set_profile(
             size = int(mask.sum())
             if size > g.n_vertices // 2 or size == 0:
                 continue
-            h = expansion_of_cut(g, mask)
-            rows.append(
-                {
-                    "cone_depth": depth,
-                    "set_size": size,
-                    "h_of_cut": h,
-                    "(c0/t0)^depth": ratio**depth,
-                    "ratio": h / ratio**depth,
-                }
-            )
-        import numpy as np
+            rows.append(row(depth, size, expansion_of_cut(g, mask)))
+        return profile(branch, rows)
 
-        cache.put_arrays(
-            key,
-            {
-                "branch": np.int64(branch),
-                "depths": np.array([r["cone_depth"] for r in rows], dtype=np.int64),
-                "sizes": np.array([r["set_size"] for r in rows], dtype=np.int64),
-                "hs": np.array([r["h_of_cut"] for r in rows], dtype=np.float64),
-            },
-        )
-    result = {"rows": rows, "scheme": scheme, "k": k, "branch": branch}
-    cache.put_object(key, result)
-    return result
+    return cache.get_or_build(
+        cache_key("small_set_profile", s, k=k),
+        build,
+        lambda result: {
+            "branch": np.int64(result["branch"]),
+            "depths": np.array([r["cone_depth"] for r in result["rows"]], dtype=np.int64),
+            "sizes": np.array([r["set_size"] for r in result["rows"]], dtype=np.int64),
+            "hs": np.array([r["h_of_cut"] for r in result["rows"]], dtype=np.float64),
+        },
+        lambda data: profile(
+            int(data["branch"]),
+            [
+                row(int(depth), int(size), float(h))
+                for depth, size, h in zip(data["depths"], data["sizes"], data["hs"])
+            ],
+        ),
+    )

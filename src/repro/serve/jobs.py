@@ -14,7 +14,11 @@ job as a namespaced ``(kind, params, root)`` message to the shared
 persistent worker pool (:mod:`repro.engine.pool`), where it runs against
 a per-worker cache over the same disk root and returns the payload
 together with the worker's cache-counter delta so the parent can
-:meth:`~repro.engine.cache.EngineCache.merge_stats`.
+:meth:`~repro.engine.cache.EngineCache.merge_stats`.  Neither shape
+deduplicates or stores payloads: the service's in-flight map does the
+first and its dispatcher the second.  The artifacts a payload reads go
+through :meth:`~repro.engine.cache.EngineCache.get_or_build`, which builds
+each one once per cache however many threads race for it.
 """
 
 from __future__ import annotations
@@ -341,10 +345,8 @@ def build_payload(job: Job, cache: EngineCache) -> dict[str, Any]:
 
 
 def run_job_inline(job: Job, cache: EngineCache) -> dict[str, Any]:
-    """Thread-executor path: single-flight build against the shared cache."""
-    payload = cache.single_flight(job.key(), lambda: build_payload(job, cache))
-    assert isinstance(payload, dict)
-    return payload
+    """Thread-executor path: build one payload against the shared cache."""
+    return build_payload(job, cache)
 
 
 # ---------------------------------------------------------------------- #
@@ -368,8 +370,7 @@ def _pool_job_task(
     job = Job(kind=kind, params=params)
     cache = pool_runtime.worker_cache(root)
     before = cache.stats_snapshot()
-    payload = cache.single_flight(job.key(), lambda: build_payload(job, cache))
-    assert isinstance(payload, dict)
+    payload = build_payload(job, cache)
     return payload, cache.stats.delta_since(before)
 
 

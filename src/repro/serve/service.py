@@ -16,11 +16,16 @@ it is dispatched to an executor:
   A small thread executor hosts the blocking pool round-trips so the
   event loop never waits on a pipe.
 
-Single-flight: the loop keeps one future per in-flight job key.  N
-identical concurrent requests await the same future — exactly one build
-runs (the acceptance invariant; ``CacheStats.builds`` proves it).
-Followers await through :func:`asyncio.shield` so one cancelled client
-cannot cancel the shared build under everyone else.
+Single-flight: the loop keeps one future per in-flight job key, and it is
+the only payload deduplication layer.  N identical concurrent requests
+await the same future — exactly one payload build runs, and
+:meth:`ExpansionService._dispatch` stores the payload in the shared cache
+in both modes.  Followers await through :func:`asyncio.shield` so one
+cancelled client cannot cancel the shared build under everyone else.
+Distinct payloads that need the same artifact (one ``Dec_k`` behind an
+``/expansion`` and a ``/sweep``) meet in
+:meth:`~repro.engine.cache.EngineCache.get_or_build`, whose per-key lock
+builds the artifact once.
 
 Shared-state discipline (enforced tree-wide by checker RC403): an async
 handler may only touch the shared cache inside ``async with self._lock``.
@@ -238,18 +243,19 @@ class ExpansionService:
     async def _dispatch(self, key: str, job: Job) -> dict[str, Any]:
         loop = asyncio.get_running_loop()
         assert self._executor is not None
+        delta: dict[str, int] = {}  # inline builds count on self.cache directly
         try:
             if self.config.workers > 0:
                 payload, delta = await loop.run_in_executor(
                     self._executor, run_job_pooled, job, self._pool_root
                 )
-                async with self._lock:
-                    self.cache.merge_stats(delta)
-                    self.cache.put_object(key, payload)
             else:
                 payload = await loop.run_in_executor(
                     self._executor, run_job_inline, job, self.cache
                 )
+            async with self._lock:
+                self.cache.merge_stats(delta)
+                self.cache.put_object(key, payload)
         finally:
             async with self._lock:
                 self._inflight.pop(key, None)

@@ -1,7 +1,11 @@
-"""Tests for the sequential two-level machine (repro.machine.cache)."""
+"""Tests for the two-level memories: the sequential machine
+(repro.machine.cache) and the engine's memory + disk artifact cache
+(repro.engine.cache.EngineCache.get_or_build)."""
 
+import numpy as np
 import pytest
 
+from repro.engine.cache import EngineCache, cache_key
 from repro.machine.cache import FastMemory, streamed_add_cost
 
 
@@ -184,3 +188,67 @@ class TestBulkCounters:
         fm.stream(read_sizes=[25], write_sizes=[], chunk=10)
         assert fm.counter.messages_read == 3
         assert fm.counter.words_read == 25
+
+
+class TestGetOrBuildTiers:
+    """EngineCache.get_or_build looks in memory, then on disk, then builds."""
+
+    KEY = cache_key("tier-test", None, n=1)
+
+    @staticmethod
+    def encode(obj):
+        return {"values": obj}
+
+    @staticmethod
+    def decode(data):
+        return data["values"]
+
+    @staticmethod
+    def build():
+        return np.arange(5, dtype=np.int64)
+
+    def test_cold_lookup_builds_and_stores_once(self, tmp_path):
+        cache = EngineCache(tmp_path)
+        got = cache.get_or_build(self.KEY, self.build, self.encode, self.decode)
+        assert np.array_equal(got, np.arange(5))
+        assert cache.stats.builds == 1
+        assert cache.stats.stores == 1
+        assert len(list(tmp_path.glob("*/*.npz"))) == 1
+
+    def test_same_instance_hits_memory_without_building(self, tmp_path):
+        cache = EngineCache(tmp_path)
+        first = cache.get_or_build(self.KEY, self.build, self.encode, self.decode)
+        second = cache.get_or_build(
+            self.KEY, lambda: pytest.fail("must not build"), self.encode, self.decode
+        )
+        assert second is first
+        assert cache.stats.builds == 1
+        assert cache.stats.hits == 1
+
+    def test_fresh_instance_decodes_from_disk(self, tmp_path):
+        EngineCache(tmp_path).get_or_build(self.KEY, self.build, self.encode, self.decode)
+        fresh = EngineCache(tmp_path)
+        got = fresh.get_or_build(
+            self.KEY, lambda: pytest.fail("must not build"), self.encode, self.decode
+        )
+        assert np.array_equal(got, np.arange(5))
+        assert fresh.stats.builds == 0
+        assert fresh.stats.stores == 0
+        assert fresh.stats.hits == 1  # the disk tier; memory was cold
+
+    def test_truncated_bundle_is_rebuilt_and_never_decoded(self, tmp_path):
+        EngineCache(tmp_path).get_or_build(self.KEY, self.build, self.encode, self.decode)
+        (path,) = tmp_path.glob("*/*.npz")
+        path.write_bytes(path.read_bytes()[:20])
+        fresh = EngineCache(tmp_path)
+        got = fresh.get_or_build(
+            self.KEY, self.build, self.encode, lambda data: pytest.fail("decoded a bad file")
+        )
+        assert np.array_equal(got, np.arange(5))
+        assert fresh.stats.builds == 1
+        assert fresh.stats.stores == 1
+        # the rebuild rewrote a whole bundle
+        again = EngineCache(tmp_path).get_or_build(
+            self.KEY, lambda: pytest.fail("must not build"), self.encode, self.decode
+        )
+        assert np.array_equal(again, np.arange(5))

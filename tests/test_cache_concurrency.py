@@ -3,8 +3,8 @@
 Covers the PR-7 bugfix trio (NumPy-2.x key fragmentation, per-call disk
 degradation, honest miss/clear accounting) plus the contended paths the
 serving layer leans on: multi-process same-key writers racing
-``os.replace``, thread-level single-flight deduplication, and the
-byte-capped LRU's eviction order.
+``os.replace``, thread-level build deduplication in
+``EngineCache.get_or_build``, and the byte-capped LRU's eviction order.
 """
 
 from __future__ import annotations
@@ -143,6 +143,11 @@ class TestHonestAccounting:
         assert not (tmp_path / "never-created").exists()
 
 
+def _memory_codec():
+    """encode/decode for memory-only caches, where decode is never reached."""
+    return (lambda obj: {"answer": np.int64(obj["answer"])}, lambda data: pytest.fail("decoded"))
+
+
 class TestSingleFlightThreads:
     def test_racing_threads_build_exactly_once(self):
         cache = EngineCache(disk=False)
@@ -163,27 +168,83 @@ class TestSingleFlightThreads:
             if i == 0:
                 # let the pack pile up behind the leader's per-key lock
                 threading.Timer(0.05, build_gate.set).start()
-            results[i] = cache.single_flight("key", build)
+            results[i] = cache.get_or_build("key", build, *_memory_codec())
 
         threads = [threading.Thread(target=racer, args=(i,)) for i in range(n_threads)]
         for t in threads:
             t.start()
         for t in threads:
             t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
         assert len(build_calls) == 1
         assert all(r == {"answer": 42} for r in results)
+        assert cache.stats.builds == 1
+        assert cache.stats.hits == n_threads - 1
 
-    def test_single_flight_counts_followers_as_hits(self):
+    def test_followers_count_as_hits(self):
         cache = EngineCache(disk=False)
-        first = cache.single_flight("k", lambda: {"v": 1})
-        second = cache.single_flight("k", lambda: pytest.fail("must not rebuild"))
-        assert first == second
-        assert cache.stats.hits >= 1
+        first = cache.get_or_build("k", lambda: {"answer": 1}, *_memory_codec())
+        second = cache.get_or_build("k", lambda: pytest.fail("must not rebuild"), *_memory_codec())
+        assert first is second
+        assert cache.stats.hits == 1
+        assert cache.stats.builds == 1
 
     def test_distinct_keys_have_distinct_locks(self):
         cache = EngineCache(disk=False)
-        assert cache.lock("a") is cache.lock("a")
-        assert cache.lock("a") is not cache.lock("b")
+        assert cache._key_lock("a") is cache._key_lock("a")
+        assert cache._key_lock("a") is not cache._key_lock("b")
+
+
+class TestArtifactBuildRace:
+    """Threads racing the builders over one cache build each artifact once."""
+
+    def test_racing_estimate_and_graph_build_three_artifacts(self, monkeypatch):
+        from repro.engine import builders
+
+        n_threads = 4
+        real_dec_graph = builders.dec_graph
+        entered = []
+        all_entered = threading.Event()
+
+        def gated_dec_graph(*args, **kwargs):
+            # Hold the first graph build until every racer could have
+            # started one too; with per-key locking only one ever does, so
+            # the wait ends at its timeout.
+            entered.append(1)
+            if len(entered) == n_threads:
+                all_entered.set()
+            all_entered.wait(timeout=1.0)
+            return real_dec_graph(*args, **kwargs)
+
+        monkeypatch.setattr(builders, "dec_graph", gated_dec_graph)
+        cache = EngineCache(disk=False)
+        barrier = threading.Barrier(n_threads)
+        results = [None] * n_threads
+
+        def racer(i):
+            barrier.wait(timeout=5)
+            if i % 2 == 0:
+                results[i] = builders.cached_estimate("strassen", 4, cache=cache)
+            else:
+                results[i] = builders.cached_dec_graph("strassen", 4, cache=cache)
+
+        threads = [threading.Thread(target=racer, args=(i,)) for i in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the racers as finely as possible
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert cache.stats.builds == 3  # graph, spectrum, estimate
+        assert len(entered) == 1
+        assert results[0] is results[2]
+        assert results[1] is results[3]
+        assert results[0].method == "spectral+sweep"
+        assert results[1].n_vertices == 5261
 
 
 class TestLruByteCap:
@@ -288,6 +349,6 @@ class TestStatsMergePlumbing:
 
     def test_merge_is_additive(self):
         parent = EngineCache(disk=False)
-        parent.count_build()
+        parent.merge_stats({"builds": 1})
         parent.merge_stats({"builds": 2})
         assert parent.stats.builds == 3

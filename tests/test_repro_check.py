@@ -578,6 +578,37 @@ class TestAsyncCacheLock:
         )
         assert codes(report) == []
 
+    def test_unlocked_get_or_build_in_coroutine(self, tmp_path):
+        report = check_snippet(
+            tmp_path,
+            """
+            import asyncio
+
+            class Service:
+                async def handle(self, key, build, encode, decode):
+                    return self.cache.get_or_build(key, build, encode, decode)
+            """,
+            select=["async-cache-lock"],
+        )
+        assert codes(report) == ["RC403"]
+
+    def test_get_or_build_in_executor_is_clean(self, tmp_path):
+        report = check_snippet(
+            tmp_path,
+            """
+            import asyncio
+
+            class Service:
+                async def handle(self, key, build, encode, decode):
+                    loop = asyncio.get_running_loop()
+                    return await loop.run_in_executor(
+                        None, self.cache.get_or_build, key, build, encode, decode
+                    )
+            """,
+            select=["async-cache-lock"],
+        )
+        assert codes(report) == []
+
     def test_per_key_sync_lock_also_counts(self, tmp_path):
         report = check_snippet(
             tmp_path,
@@ -586,7 +617,7 @@ class TestAsyncCacheLock:
 
             class Service:
                 async def handle(self, key):
-                    with self.cache.lock(key):
+                    with self.cache._key_lock(key):
                         return self.cache.get_object(key)
             """,
             select=["async-cache-lock"],
