@@ -4,15 +4,20 @@
 Boots the real CLI entry point as a subprocess on a free port, fires a
 concurrent request mix (an identical-``/expansion`` wave to exercise
 single-flight, plus ``/bounds``, ``/sweep`` and ``/healthz``), and checks
-every response plus the ``/cache/info`` counters.  With ``--workers 0``
-the service's build count must equal the builds of the mix's distinct jobs
-run one after another over a fresh memory-only cache: racing requests may
-not build any artifact twice.  Exits non-zero on any failure; prints one
-summary line on success.
+every response plus the ``/cache/info`` counters.  When builds run in the
+service process (``--workers 0``, or ``REPRO_POOL=0`` with any
+``--workers``), the service's build count must equal the builds of the
+mix's distinct jobs run one after another over a fresh memory-only cache:
+racing requests may not build any artifact twice, and no build may be
+counted twice.  Pool workers share only the cache directory, so with
+live workers two of them may build the same artifact and no count is
+checked.  Exits non-zero on any failure; prints one summary line on
+success.
 
 Usage::
 
     PYTHONPATH=src python scripts/serve_smoke.py [--workers N]
+    REPRO_POOL=0 PYTHONPATH=src python scripts/serve_smoke.py --workers 2
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from urllib.parse import parse_qsl, urlsplit
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.engine.cache import EngineCache  # noqa: E402
+from repro.engine.pool import pool_enabled  # noqa: E402
 from repro.serve.http import fetch_json  # noqa: E402
 from repro.serve.jobs import JOB_KINDS, build_payload, parse_job  # noqa: E402
 
@@ -133,7 +139,7 @@ def main() -> int:
     stats = info["stats"]
     if service["errors"] != 0:
         raise SystemExit(f"service counted {service['errors']} errors")
-    if args.workers == 0:
+    if args.workers == 0 or not pool_enabled():  # every build ran in the service
         expected = serial_builds()
         if stats["builds"] != expected:
             raise SystemExit(

@@ -254,6 +254,14 @@ class EngineCache:
         self._lock = threading.RLock()
         self._key_locks: dict[str, threading.Lock] = {}
 
+    def __reduce__(self) -> tuple[Any, ...]:
+        """Pickle as settings: a pool worker unpickles its one memoized cache with
+        this root, disk flag and memory caps (:func:`repro.engine.pool.worker_cache`)."""
+        from repro.engine.pool import worker_cache
+
+        settings = (str(self.root), self._disk, self._memory_items, self._memory_bytes)
+        return (worker_cache, (settings,))
+
     @property
     def disk_enabled(self) -> bool:
         return self._disk
@@ -430,10 +438,10 @@ class EngineCache:
     def merge_stats(self, delta: dict[str, int]) -> None:
         """Fold counter increments from a worker process into this instance.
 
-        The grid runner and the serving layer's process pool both execute
-        builds in workers whose caches are separate objects; each worker
-        reports ``stats.delta_since(snapshot)`` and the parent merges it here
-        so ``info()`` reflects the whole fleet.
+        A pool task that ran in a worker returns the ``delta_since`` of its
+        worker cache (see :func:`~repro.engine.pool.run_counted`); the caller
+        of the grid, scaling or serve-job call merges it here, so this
+        cache's counters cover every build made on its behalf.
         """
         with self._lock:
             self.stats.merge(delta)

@@ -60,6 +60,17 @@ _SCALING_COLUMNS = [
 ]
 
 
+def _non_negative_int(raw: str) -> int:
+    """argparse type for counts and caps: an integer >= 0 (else exit 2)."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0 (got {value})")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -238,25 +249,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers",
-        type=int,
+        type=_non_negative_int,
         default=0,
         help=(
             "build executor: 0 (default) runs builds on in-process threads "
-            "sharing one cache; N > 0 spawns N worker processes over the "
-            "same cache directory"
+            "sharing one cache; N > 0 spawns N worker processes whose caches "
+            "share its directory and memory caps"
         ),
     )
     serve.add_argument(
         "--memory-items",
-        type=int,
+        type=_non_negative_int,
         default=64,
-        help="decoded-object LRU entry cap for the serving cache (default 64)",
+        help=(
+            "decoded-object LRU entry cap per process (service and each "
+            "worker; default 64)"
+        ),
     )
     serve.add_argument(
         "--memory-mb",
-        type=int,
+        type=_non_negative_int,
         default=512,
-        help="decoded-object LRU byte cap in MiB; 0 disables the cap (default 512)",
+        help="decoded-object LRU byte cap in MiB per process; 0 disables it (default 512)",
     )
 
     check = sub.add_parser(

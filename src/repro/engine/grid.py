@@ -27,7 +27,7 @@ from repro.core.bounds import rect_sequential_io_bound, sequential_io_bound
 from repro.algorithms.io_strassen import dfs_io_model, rect_dfs_io_model
 from repro.engine import pool as pool_runtime
 from repro.engine.builders import cached_dec_graph, cached_estimate
-from repro.engine.cache import CacheStats, EngineCache, default_cache
+from repro.engine.cache import EngineCache, default_cache
 from repro.util.jsonutil import jsonable
 
 __all__ = ["GridPoint", "GridSpec", "GridReport", "evaluate_point", "run_grid"]
@@ -182,19 +182,10 @@ def evaluate_point(point: GridPoint, cache: EngineCache | None = None) -> dict:
 # ---------------------------------------------------------------------- #
 
 
-def _pool_point_task(msg: tuple[str, int, int, str, str | None]) -> tuple[dict, dict]:
-    """Evaluate one point on a pool worker; returns (row, stat increments).
-
-    The per-task context message replaces the old per-pool ``initializer=``
-    plumbing: the cache root rides along with every point, and
-    :func:`~repro.engine.pool.worker_cache` memoizes the per-process
-    :class:`EngineCache` it names — warm across batches and sweeps.
-    """
-    scheme, k, M, policy, root = msg
-    cache = pool_runtime.worker_cache(root)
-    before = cache.stats.as_dict()
-    row = evaluate_point(GridPoint(scheme, k, M, policy), cache=cache)
-    return row, cache.stats.delta_since(before)
+def _pool_point_task(msg: tuple[GridPoint, EngineCache]) -> tuple[dict, dict]:
+    """Pool task: (row, worker counter delta) for one point on the caller's cache."""
+    point, cache = msg
+    return pool_runtime.run_counted(cache, evaluate_point, point, cache=cache)
 
 
 def run_grid(
@@ -204,10 +195,11 @@ def run_grid(
 ) -> GridReport:
     """Run the sweep; ``workers`` > 1 fans points over the shared pool.
 
-    All workers share the serial cache's *disk* root (atomic writes make
-    concurrent population safe); their in-memory layers are per-process.
-    Rows come back in deterministic point order regardless of worker count,
-    and the stats aggregate hit/miss/build counters across all processes.
+    Pool workers use caches with the caller's root and memory caps, so they
+    share its disk tier; their in-memory tiers are per-process.  Rows come
+    back in deterministic point order regardless of worker count, and the
+    report's stats are the caller cache's counter increments over the call,
+    worker builds included.
 
     Points are ordered scheme, k, M, policy, so each run of
     ``len(memories) * len(policies)`` consecutive points shares one
@@ -215,32 +207,29 @@ def run_grid(
     (scheme, k) artifact is built by two workers.  ``workers`` is clamped
     to the number of such groups (a 2-group grid with ``workers=8`` fans
     out over 2 processes, not 8), and the pool's serial modes
-    (``REPRO_POOL=0``, permanent fallback) run the same tasks inline with
-    bit-identical rows.
+    (``REPRO_POOL=0``, permanent fallback) run the same tasks inline on the
+    caller's cache with bit-identical rows.
     """
     cache = cache if cache is not None else default_cache()
     points = spec.points()
     start = time.perf_counter()
-    stats = CacheStats()
-    rows: list[dict] = []
+    before = cache.stats_snapshot()
     group = max(1, len(spec.memories) * len(spec.policies))
     n_workers = max(1, min(workers if workers is not None else 1, len(points) // group))
     if n_workers <= 1:
-        before = cache.stats.as_dict()
         rows = [evaluate_point(point, cache=cache) for point in points]
-        stats.merge(cache.stats.delta_since(before))
     else:
-        root = str(cache.root) if cache.disk_enabled else None
-        msgs = [(p.scheme, p.k, p.M, p.policy, root) for p in points]
+        rows = []
+        msgs = [(point, cache) for point in points]
         for row, delta in pool_runtime.submit_batch(
             _pool_point_task, msgs, workers=n_workers, chunksize=group
         ):
             rows.append(row)
-            stats.merge(delta)
+            cache.merge_stats(delta)
     return GridReport(
         spec=spec,
         rows=rows,
-        stats=stats.as_dict(),
+        stats=cache.stats.delta_since(before),
         wall_time=time.perf_counter() - start,
         workers=n_workers,
     )

@@ -9,11 +9,16 @@ the sharded scan it parallelizes.  This module keeps **one warm pool per
 process** and ships work to it as lightweight per-task context messages
 instead of per-pool ``initializer=`` plumbing:
 
-* grid points ship ``(scheme, k, M, policy, cache_root)`` tuples;
+* grid points ship ``(GridPoint, cache)``, scaling points
+  ``(ScalingPoint, cache, topology)`` and serve builds ``(Job, cache)``,
+  where ``cache`` is the caller's :class:`EngineCache`: it pickles as its
+  settings and a worker unpickles its :func:`worker_cache` with the same
+  disk root and memory caps (run inline, a task gets the caller's object;
+  :func:`run_counted` returns the worker's counter delta for the caller
+  to ``merge_stats``, so every count lands on the caller's cache once);
 * exact scans ship a shared-memory handle whose :class:`_ScanCtx` tables a
   worker installs once per graph (:func:`worker_ctx`) and reuses across
-  all of that graph's prefix spans;
-* serve builds ship namespaced ``(kind, params, root)`` jobs.
+  all of that graph's prefix spans.
 
 Transport is a duplex pipe per worker carrying pickle **protocol 5**
 frames with out-of-band buffers: large contiguous arrays (packed uint64
@@ -75,7 +80,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, fields
 from multiprocessing import shared_memory
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -99,6 +104,7 @@ __all__ = [
     "pool_stats_snapshot",
     "prewarm",
     "reset_pool_stats",
+    "run_counted",
     "serial_fallback_reason",
     "shutdown_pool",
     "submit_batch",
@@ -106,6 +112,8 @@ __all__ = [
     "worker_cache",
     "worker_ctx",
 ]
+
+_T = TypeVar("_T")
 
 #: Kill switch: ``REPRO_POOL=0`` forces every submission to run inline.
 POOL_ENV = "REPRO_POOL"
@@ -195,7 +203,7 @@ def worker_ctx(token: str, build: Callable[[], Any]) -> Any:
     """Per-process context store: install once under ``token``, reuse after.
 
     The replacement for per-pool ``initializer=`` plumbing: a task message
-    carries a small content token (a cache root, a graph digest) and the
+    carries a small content token (cache settings, a graph digest) and the
     worker materializes the heavy context (an :class:`EngineCache`, a
     ``_ScanCtx`` table set) on first sight, then reuses it for every later
     task with the same token — across batches and across call sites,
@@ -216,22 +224,39 @@ def worker_ctx(token: str, build: Callable[[], Any]) -> Any:
     return value
 
 
-def worker_cache(root: str | None) -> "EngineCache":
-    """The per-process :class:`EngineCache` for ``root`` (memoized).
+def worker_cache(settings: tuple[str, bool, int, int | None]) -> "EngineCache":
+    """The per-process :class:`EngineCache` for ``settings`` (memoized).
 
-    Workers share the parent's *disk* root (atomic writes make concurrent
-    population safe) but keep private memory tiers and counters; tasks
-    return counter deltas for the parent to merge.  ``None`` means a
-    process-local memory-only cache — still warm across tasks and batches.
+    ``settings`` is ``(root, disk, memory_items, memory_bytes)``; this is
+    what a pickled cache unpickles to (``EngineCache.__reduce__``).
+    Workers share the caller's disk root (atomic writes make concurrent
+    population safe) and its memory caps, but keep private memory tiers
+    and counters, warm across tasks and batches.
     """
     from repro.engine.cache import EngineCache
 
+    root, disk, items, max_bytes = settings
     cache = worker_ctx(
-        f"engine-cache:{root if root is not None else '<memory>'}",
-        lambda: EngineCache(root) if root is not None else EngineCache(disk=False),
+        f"engine-cache:{settings!r}",
+        lambda: EngineCache(root, disk=disk, memory_items=items, memory_bytes=max_bytes),
     )
     assert isinstance(cache, EngineCache)
     return cache
+
+
+def run_counted(
+    cache: "EngineCache", fn: Callable[..., _T], /, *args: Any, **kwargs: Any
+) -> tuple[_T, dict[str, int]]:
+    """``fn(*args, **kwargs)`` and, in a worker, the counts it added to ``cache``.
+
+    A task run inline already counted on the caller's own cache, so its
+    delta is empty; a worker's delta is for the caller to ``merge_stats``.
+    """
+    if not _IN_WORKER:
+        return fn(*args, **kwargs), {}
+    before = cache.stats_snapshot()
+    out = fn(*args, **kwargs)
+    return out, cache.stats.delta_since(before)
 
 
 def _worker_main(conn: "Connection") -> None:

@@ -40,7 +40,7 @@ import numpy as np
 from repro.cdag.schemes import get_scheme
 from repro.core.bounds import scaling_regime
 from repro.engine import pool as pool_runtime
-from repro.engine.cache import CacheStats, EngineCache, cache_key, default_cache
+from repro.engine.cache import EngineCache, cache_key, default_cache
 from repro.parallel.base import ParallelConfig, get_parallel
 from repro.topology import Topology
 from repro.util.jsonutil import jsonable
@@ -317,18 +317,12 @@ def evaluate_scaling_point(
     return row
 
 
-def _pool_scaling_task(msg: "tuple[ScalingPoint, str | None, Topology]") -> tuple[dict, dict]:
-    """Evaluate one scaling point on a pool worker: (row, stat increments).
-
-    The per-task context message ships the point, the disk root, and the
-    (picklable) topology; :func:`~repro.engine.pool.worker_cache` memoizes
-    the per-process cache, so a sweep's points share warm state per worker.
-    """
-    point, root, topology = msg
-    cache = pool_runtime.worker_cache(root)
-    before = cache.stats.as_dict()
-    row = evaluate_scaling_point(point, cache=cache, topology=topology)
-    return row, cache.stats.delta_since(before)
+def _pool_scaling_task(msg: "tuple[ScalingPoint, EngineCache, Topology]") -> tuple[dict, dict]:
+    """Pool task: (row, worker counter delta) for one point on the caller's cache."""
+    point, cache, topology = msg
+    return pool_runtime.run_counted(
+        cache, evaluate_scaling_point, point, cache=cache, topology=topology
+    )
 
 
 def scaling_sweep(
@@ -340,35 +334,32 @@ def scaling_sweep(
 
     Points are cheap simulations (n is small), so the sweep defaults to
     serial; ``workers > 1`` fans the points over the shared persistent pool
-    (clamped to the point count), with rows in deterministic point order
-    and per-task cache-counter deltas merged into one stats block either
-    way.  The cache layer is what makes repeats and overlapping sweeps
-    free.
+    (clamped to the point count), with rows in deterministic point order.
+    The report's stats are the caller cache's counter increments over the
+    call, worker builds included.  The cache layer is what makes repeats
+    and overlapping sweeps free.
     """
     cache = cache if cache is not None else default_cache()
     start = time.perf_counter()
     topology = spec.machine_topology()
     points = spec.points()
     n_workers = max(1, min(workers if workers is not None else 1, len(points) or 1))
-    stats = CacheStats()
+    before = cache.stats_snapshot()
     if n_workers <= 1:
-        before = cache.stats.as_dict()
         rows = [
             evaluate_scaling_point(pt, cache=cache, topology=topology) for pt in points
         ]
-        stats.merge(cache.stats.delta_since(before))
     else:
-        root = str(cache.root) if cache.disk_enabled else None
-        msgs = [(pt, root, topology) for pt in points]
         rows = []
+        msgs = [(pt, cache, topology) for pt in points]
         for row, delta in pool_runtime.submit_batch(
             _pool_scaling_task, msgs, workers=n_workers
         ):
             rows.append(row)
-            stats.merge(delta)
+            cache.merge_stats(delta)
     return ScalingReport(
         spec=spec,
         rows=rows,
-        stats=stats.as_dict(),
+        stats=cache.stats.delta_since(before),
         wall_time=time.perf_counter() - start,
     )

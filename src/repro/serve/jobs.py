@@ -7,18 +7,18 @@ single-flight deduplication work: two clients asking for
 ``?k=4&scheme=strassen`` and ``?scheme=strassen&k=4`` produce the same
 :meth:`Job.key`, so the second request rides the first one's build.
 
-Execution comes in two shapes, mirroring :mod:`repro.engine.grid`'s worker
-plumbing: :func:`run_job_inline` runs in the serving process (thread
-executor) against the shared cache, and :func:`run_job_pooled` ships the
-job as a namespaced ``(kind, params, root)`` message to the shared
-persistent worker pool (:mod:`repro.engine.pool`), where it runs against
-a per-worker cache over the same disk root and returns the payload
-together with the worker's cache-counter delta so the parent can
-:meth:`~repro.engine.cache.EngineCache.merge_stats`.  Neither shape
-deduplicates or stores payloads: the service's in-flight map does the
-first and its dispatcher the second.  The artifacts a payload reads go
-through :meth:`~repro.engine.cache.EngineCache.get_or_build`, which builds
-each one once per cache however many threads race for it.
+Execution comes in two shapes, both ``(job, cache) -> payload``:
+:func:`run_job_inline` builds in the calling thread against ``cache``, and
+:func:`run_job_pooled` ships ``(job, cache)`` to the shared persistent
+worker pool (:mod:`repro.engine.pool`).  There the cache unpickles to the
+worker's cache with the same root and memory caps, and the worker's
+counter delta comes back for :func:`run_job_pooled` to merge into
+``cache``; run inline (``REPRO_POOL=0``), it builds on ``cache`` itself.
+Neither shape deduplicates or stores payloads: the service's in-flight
+map does the first and its dispatcher the second.  The artifacts a
+payload reads go through
+:meth:`~repro.engine.cache.EngineCache.get_or_build`, which builds each
+one once per cache however many threads race for it.
 """
 
 from __future__ import annotations
@@ -349,39 +349,21 @@ def run_job_inline(job: Job, cache: EngineCache) -> dict[str, Any]:
     return build_payload(job, cache)
 
 
-# ---------------------------------------------------------------------- #
-# shared-pool plumbing (the grid runner's idiom, on repro.engine.pool)     #
-# ---------------------------------------------------------------------- #
+def _pool_job_task(msg: tuple[Job, EngineCache]) -> tuple[dict[str, Any], dict[str, int]]:
+    """Pool task: ``(payload, worker counter delta)`` for one job."""
+    job, cache = msg
+    return pool_runtime.run_counted(cache, build_payload, job, cache)
 
 
-def _pool_job_task(
-    msg: tuple[str, tuple[tuple[str, Any], ...], str | None],
-) -> tuple[dict[str, Any], dict[str, int]]:
-    """Pool-worker entry point: ``(payload, cache-counter delta)``.
-
-    The namespaced message carries the job's canonical form plus the disk
-    root; :func:`~repro.engine.pool.worker_cache` memoizes the per-process
-    cache (shared disk root, private memory tiers and counters).  The
-    delta covers exactly this job (counters snapshotted around the build),
-    so the parent can merge per-job increments regardless of how jobs
-    interleave across the pool.
-    """
-    kind, params, root = msg
-    job = Job(kind=kind, params=params)
-    cache = pool_runtime.worker_cache(root)
-    before = cache.stats_snapshot()
-    payload = build_payload(job, cache)
-    return payload, cache.stats.delta_since(before)
-
-
-def run_job_pooled(job: Job, root: str | None) -> tuple[dict[str, Any], dict[str, int]]:
-    """Ship one job to the shared persistent pool (``workers > 0`` mode).
+def run_job_pooled(job: Job, cache: EngineCache) -> dict[str, Any]:
+    """Build one payload on a shared-pool worker (``workers > 0`` mode).
 
     Blocking — the service calls it from executor threads, each of which
     checks out its own pool worker, so distinct jobs overlap across
-    processes.  Under ``REPRO_POOL=0`` or serial fallback the job runs
-    inline with identical semantics (the payload/delta contract holds).
+    processes.  The worker's counter delta is merged into ``cache``; with
+    the pool off the job builds inline on ``cache`` itself.
     """
-    payload, delta = pool_runtime.submit_one(_pool_job_task, (job.kind, job.params, root))
+    payload, delta = pool_runtime.submit_one(_pool_job_task, (job, cache))
+    cache.merge_stats(delta)
     assert isinstance(payload, dict)
-    return payload, delta
+    return payload

@@ -2,19 +2,20 @@
 
 One event loop accepts connections and parses requests; the CPU-bound
 engine work (graph builds, eigensolves, sweeps) never runs on the loop —
-it is dispatched to an executor:
+it is dispatched to one thread executor, ``workers`` threads wide (or
+``_INLINE_THREADS`` when ``workers == 0``), over the service's one
+:class:`~repro.engine.cache.EngineCache`:
 
-* ``workers == 0`` (default) — a small thread pool in this process,
-  sharing the service's :class:`~repro.engine.cache.EngineCache` directly.
+* ``workers == 0`` (default) — each thread builds in this process.
   NumPy/SciPy kernels release the GIL, so threads already overlap the
   heavy parts; this mode is also fully deterministic for tests.
-* ``workers > 0`` — jobs ship to the process-wide persistent worker pool
-  (:mod:`repro.engine.pool`, pre-warmed at service start), each worker
-  holding a private cache over the same disk root (the grid runner's
-  sharing model).  Workers return ``(payload, counter-delta)`` and the
-  parent merges the delta, so ``/cache/info`` reflects the whole fleet.
-  A small thread executor hosts the blocking pool round-trips so the
-  event loop never waits on a pipe.
+* ``workers > 0`` — each thread ships its job to the process-wide
+  persistent worker pool (:mod:`repro.engine.pool`, pre-warmed at service
+  start) and waits on the pipe.  A worker's cache has the service cache's
+  disk root and memory caps, so ``--memory-items``/``--memory-mb`` bound
+  every process; its counter delta is merged into the service cache, so
+  ``/cache/info`` counts every build.  Under ``REPRO_POOL=0`` the job runs
+  on the executor thread against the service cache itself.
 
 Single-flight: the loop keeps one future per in-flight job key, and it is
 the only payload deduplication layer.  N identical concurrent requests
@@ -65,7 +66,7 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 8077
-    workers: int = 0  # 0 = in-process thread executor
+    workers: int = 0  # 0 = build on in-process threads; N = on N pool workers
     cache_dir: str | None = None
     disk: bool = True
     memory_items: int = 64
@@ -89,7 +90,6 @@ class ExpansionService:
             )
         self._lock = asyncio.Lock()  # guards _inflight and shared-cache access
         self._inflight: dict[str, asyncio.Future[dict[str, Any]]] = {}
-        self._pool_root: str | None = None
         self._executor: concurrent.futures.Executor | None = None
         self._server: asyncio.Server | None = None
         self.requests = 0
@@ -108,20 +108,10 @@ class ExpansionService:
         return int(self._server.sockets[0].getsockname()[1])
 
     async def start(self) -> None:
-        if self.config.workers > 0:
-            # Jobs run on the shared persistent pool; pre-warm it here so the
-            # first request finds live workers.  The thread executor only
-            # hosts the blocking pool round-trips (one thread per concurrent
-            # pooled job), keeping the event loop off the pipes.
-            self._pool_root = str(self.cache.root) if self.cache.disk_enabled else None
-            pool_runtime.prewarm(self.config.workers)
-            self._executor = concurrent.futures.ThreadPoolExecutor(
-                max_workers=self.config.workers, thread_name_prefix="serve-pool"
-            )
-        else:
-            self._executor = concurrent.futures.ThreadPoolExecutor(
-                max_workers=_INLINE_THREADS, thread_name_prefix="serve"
-            )
+        pool_runtime.prewarm(self.config.workers)  # no-op at workers == 0
+        self._executor = concurrent.futures.ThreadPoolExecutor(
+            max_workers=self.config.workers or _INLINE_THREADS, thread_name_prefix="serve"
+        )
         self._server = await asyncio.start_server(
             self._handle_client, self.config.host, self.config.port
         )
@@ -243,18 +233,10 @@ class ExpansionService:
     async def _dispatch(self, key: str, job: Job) -> dict[str, Any]:
         loop = asyncio.get_running_loop()
         assert self._executor is not None
-        delta: dict[str, int] = {}  # inline builds count on self.cache directly
+        run_job = run_job_pooled if self.config.workers > 0 else run_job_inline
         try:
-            if self.config.workers > 0:
-                payload, delta = await loop.run_in_executor(
-                    self._executor, run_job_pooled, job, self._pool_root
-                )
-            else:
-                payload = await loop.run_in_executor(
-                    self._executor, run_job_inline, job, self.cache
-                )
+            payload = await loop.run_in_executor(self._executor, run_job, job, self.cache)
             async with self._lock:
-                self.cache.merge_stats(delta)
                 self.cache.put_object(key, payload)
         finally:
             async with self._lock:

@@ -14,7 +14,9 @@ slate, restore the fallback state afterwards.
 from __future__ import annotations
 
 import os
+import pickle
 import tempfile
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -54,6 +56,18 @@ def _crash_in_worker(x: int) -> tuple[str, int]:
     if pool_runtime.in_worker():
         os._exit(13)
     return ("inline", x)
+
+
+def _cache_caps(cache: EngineCache) -> tuple[bool, int, int | None, bool, str]:
+    """Where the task ran, and the settings of the cache it received."""
+    memory = cache.info()["memory"]
+    return (
+        pool_runtime.in_worker(),
+        memory["max_items"],
+        memory["max_bytes"],
+        cache.disk_enabled,
+        str(cache.root),
+    )
 
 
 def _random_graph(n: int, seed: int, p: float = 0.35) -> CDAG:
@@ -176,7 +190,7 @@ class TestLifecycle:
             # the exact scan and a pooled serve job ride the same workers
             exact_edge_expansion_v2(layered_circulant_cdag(18), jobs=2)
             job = parse_job("expansion", {"scheme": "strassen", "k": "1"})
-            run_job_pooled(job, root + "/serve")
+            run_job_pooled(job, EngineCache(root + "/serve"))
 
             delta = pool_runtime._STATS.delta_since(after_grid)
             assert delta["pool_starts"] == 0
@@ -268,6 +282,57 @@ class TestWorkerBlasEnv:
         assert pool_runtime.submit_batch(_getenv, names, workers=2) == expected
         assert pool_runtime.pool_stats_snapshot()["serial_tasks"] == 0
         assert dict(os.environ) == parent_env
+
+
+# --------------------------------------------------------------------- #
+# caller's cache: tasks carry it, workers get its settings               #
+# --------------------------------------------------------------------- #
+
+
+class TestCallerCache:
+    def test_workers_get_the_callers_memory_caps(self, fresh_pool, tmp_path):
+        cache = EngineCache(tmp_path, memory_items=1, memory_bytes=4096)
+        out = pool_runtime.submit_batch(_cache_caps, [cache, cache], workers=2)
+        assert out == [(True, 1, 4096, True, str(tmp_path))] * 2
+
+    def test_pickled_cache_unpickles_to_one_cache_per_settings(self, monkeypatch):
+        monkeypatch.setattr(pool_runtime, "_CTX_STORE", OrderedDict())
+        cache = EngineCache(disk=False, memory_items=1, memory_bytes=4096)
+        cache.put_object("k", 1)
+        first = pickle.loads(pickle.dumps(cache, protocol=5))
+        second = pickle.loads(pickle.dumps(cache, protocol=5))
+        other = pickle.loads(pickle.dumps(EngineCache(disk=False, memory_items=2)))
+        assert first is second
+        assert first is not cache and other is not first
+        memory = first.info()["memory"]
+        assert (memory["max_items"], memory["max_bytes"], memory["items"]) == (1, 4096, 0)
+        assert not first.disk_enabled and first.root == cache.root
+
+    def test_inline_grid_counts_on_the_callers_cache(self, fresh_pool, monkeypatch):
+        # Kill switch on: the "pooled" grid runs inline and must build on
+        # the caller's own cache, under its cap, with the serial run's stats.
+        monkeypatch.setenv(pool_runtime.POOL_ENV, "0")
+        monkeypatch.setattr(pool_runtime, "_CTX_STORE", OrderedDict())
+        spec = GridSpec(schemes=("strassen",), ks=(1, 2), memories=(48,))
+        serial = run_grid(spec, workers=1, cache=EngineCache(disk=False, memory_items=1))
+        cache = EngineCache(disk=False, memory_items=1)
+        report = run_grid(spec, workers=2, cache=cache)
+        info = cache.info()
+        assert info["memory"]["items"] <= 1
+        assert info["stats"]["evictions"] > 0
+        assert info["stats"] == report.stats
+        assert report.stats == serial.stats
+        assert report.rows == serial.rows
+        assert not any(token.startswith("engine-cache:") for token in pool_runtime._CTX_STORE)
+
+    def test_pooled_grid_merges_worker_counts_into_the_callers_cache(self, fresh_pool):
+        spec = GridSpec(schemes=("strassen",), ks=(1, 2), memories=(48, 192))
+        serial = run_grid(spec, workers=1, cache=EngineCache(disk=False))
+        cache = EngineCache(disk=False)
+        report = run_grid(spec, workers=2, cache=cache)
+        assert pool_runtime.pool_stats_snapshot()["tasks_dispatched"] == 4
+        assert report.stats == serial.stats == cache.stats.as_dict()
+        assert report.rows == serial.rows
 
 
 # --------------------------------------------------------------------- #

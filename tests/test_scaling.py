@@ -98,6 +98,17 @@ class TestSweepCache:
         assert second.stats["builds"] == 0
         assert second.rows == first.rows
 
+    def test_pooled_sweep_matches_serial(self, tmp_path):
+        # Same rows and stats from the pool (or, under REPRO_POOL=0, inline);
+        # worker counts land on the caller's cache.
+        spec = ScalingSpec(algos=("2.5d", "caps"), n=24, p_max=32, cs=(1, 2))
+        serial = scaling_sweep(spec, cache=EngineCache(tmp_path / "w1"), workers=1)
+        cache = EngineCache(tmp_path / "w2")
+        pooled = scaling_sweep(spec, cache=cache, workers=2)
+        assert len(serial.rows) > 2
+        assert pooled.rows == serial.rows
+        assert pooled.stats == serial.stats == cache.stats.as_dict()
+
     def test_alpha_beta_sweeps_reuse_the_simulation(self, tmp_path):
         # the cached artifact carries per-superstep per-rank tallies, so a
         # different (α, β) recomputes time without simulating again

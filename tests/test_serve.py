@@ -388,7 +388,39 @@ class TestWorkerPool:
         assert info["service"]["workers"] == 1
 
 
+    def test_pooled_builds_obey_the_service_memory_cap(self):
+        # The worker's cache takes the service cache's memory_items=1, so a
+        # sweep touching several artifacts evicts there; the worker's count
+        # is merged into /cache/info.
+        async def _main():
+            config = ServeConfig(host="127.0.0.1", port=0, workers=1, disk=False, memory_items=1)
+            svc = ExpansionService(config)
+            await svc.start()
+            try:
+                status, _ = await _get(svc, "/sweep?schemes=strassen&k_min=1&k_max=2&memories=48")
+                return status, (await _get(svc, "/cache/info"))[1]
+            finally:
+                await svc.stop()
+
+        status, info = asyncio.run(_main())
+        assert status == 200
+        assert info["memory"]["max_items"] == 1
+        assert info["stats"]["builds"] > 1
+        assert info["stats"]["evictions"] > 0
+
+
 class TestCliWiring:
+    @pytest.mark.parametrize("flag", ["--workers", "--memory-items", "--memory-mb"])
+    def test_negative_serve_flag_exits_2_naming_it(self, flag, monkeypatch, capsys):
+        import repro.serve.service as service_mod
+        from repro.engine.cli import main
+
+        monkeypatch.setattr(service_mod, "run", lambda config: 0)
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--port", "0", flag, "-1"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be >= 0 (got -1)" in capsys.readouterr().err
+
     def test_serve_flags_construct_config(self, monkeypatch):
         import repro.serve.service as service_mod
         from repro.engine.cli import main
