@@ -11,10 +11,8 @@ this package encodes them as an AST-visitor checker framework:
   registered via ``@register_checker``;
 * :class:`~repro.analysis.findings.Finding` — one diagnostic with
   ``file:line``, severity, and a fix hint;
-* :mod:`repro.analysis.baseline` — a committed baseline file that
-  grandfathers pre-existing findings without letting new ones in;
 * :mod:`repro.analysis.runner` — file collection, checker dispatch,
-  baseline filtering, and the ``--format text|json`` reports behind
+  inline suppression, and the ``--format text|json`` reports behind
   ``python -m repro check``.
 
 The shipped checkers live in :mod:`repro.analysis.checkers`; importing
@@ -30,7 +28,6 @@ from repro.analysis.base import (
     get_checker,
     register_checker,
 )
-from repro.analysis.baseline import load_baseline, write_baseline
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.runner import CheckReport, render_findings, run_check
 
@@ -45,9 +42,7 @@ __all__ = [
     "Severity",
     "available_checkers",
     "get_checker",
-    "load_baseline",
     "register_checker",
     "render_findings",
     "run_check",
-    "write_baseline",
 ]

@@ -10,8 +10,7 @@ anything.
 
 Inline suppression: a ``# repro: ignore[RC101]`` comment on the flagged
 line silences that code there (``# repro: ignore`` silences every code on
-the line).  Suppressions are deliberate and visible in review, unlike
-baseline entries, which grandfather findings wholesale.
+the line).  Suppressions are deliberate and visible in review.
 """
 
 from __future__ import annotations

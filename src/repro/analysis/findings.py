@@ -1,10 +1,4 @@
-"""The diagnostic record every checker emits.
-
-A finding is identified across runs by ``(code, path, message)`` — line
-numbers shift too easily to key a baseline on, while the rendered message
-is stable for a given defect.  :meth:`Finding.identity` is that key;
-:mod:`repro.analysis.baseline` stores and matches on it.
-"""
+"""The diagnostic record every checker emits."""
 
 from __future__ import annotations
 
@@ -32,10 +26,6 @@ class Finding:
     severity: str  # Severity.ERROR | Severity.WARNING
     message: str  # one-line statement of the defect
     fix_hint: str = ""  # how a developer should resolve it
-
-    def identity(self) -> tuple[str, str, str]:
-        """Baseline key: stable across line-number drift."""
-        return (self.code, self.path, self.message)
 
     def as_dict(self) -> dict[str, Any]:
         return {

@@ -3,8 +3,7 @@
 ``run_check`` is the single entry point behind ``python -m repro check``
 and the test suite: collect ``.py`` files, parse them (a syntax error is
 itself a finding, not a crash), run the selected checkers' per-module
-passes, drop inline-suppressed findings, split the rest
-against the committed baseline, and wrap everything in a
+passes, drop inline-suppressed findings, and wrap the rest in a
 :class:`CheckReport`.
 
 The JSON output is schema-versioned (``CHECK_SCHEMA_VERSION``) so CI
@@ -19,17 +18,12 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.analysis.base import Module, available_checkers, get_checker
-from repro.analysis.baseline import (
-    DEFAULT_BASELINE_NAME,
-    load_baseline,
-    split_baselined,
-)
 from repro.analysis.findings import Finding, Severity
 from repro.util.jsonutil import jsonable
 
 __all__ = ["CHECK_SCHEMA_VERSION", "CheckReport", "collect_files", "render_findings", "run_check"]
 
-CHECK_SCHEMA_VERSION = 1
+CHECK_SCHEMA_VERSION = 2
 
 #: Directory names never descended into while collecting files.
 _SKIP_DIRS = {"__pycache__", ".git", ".venv", "node_modules", "build", "dist"}
@@ -42,8 +36,7 @@ _PARSE_CODE = "RC001"
 class CheckReport:
     """One ``repro check`` run's outcome."""
 
-    findings: list[Finding]  # new findings: these gate
-    baselined: list[Finding]  # grandfathered by the committed baseline
+    findings: list[Finding]  # every unsuppressed finding: these gate
     suppressed: int  # count of inline-suppressed findings
     n_files: int
     checkers: list[str] = field(default_factory=list)
@@ -60,7 +53,6 @@ class CheckReport:
             "files": self.n_files,
             "ok": self.ok,
             "findings": [f.as_dict() for f in self.findings],
-            "baselined": [f.as_dict() for f in self.baselined],
             "suppressed": self.suppressed,
         }
 
@@ -107,13 +99,11 @@ def run_check(
     paths: Sequence[str | Path] | None = None,
     select: Iterable[str] | None = None,
     root: str | Path | None = None,
-    baseline_path: str | Path | None = None,
-    use_baseline: bool = True,
 ) -> CheckReport:
     """Run the selected checkers over ``paths`` (default: ``<root>/src``).
 
-    ``root`` anchors repo-relative paths and the committed baseline; it
-    defaults to the working directory.
+    ``root`` anchors repo-relative paths; it defaults to the working
+    directory.
     ``select`` narrows to named checkers (default: all registered).
     """
     import repro.analysis.checkers  # noqa: F401  (registers shipped checkers)
@@ -156,17 +146,8 @@ def run_check(
         else:
             kept.append(f)
 
-    baseline: set[tuple[str, str, str]] = set()
-    if use_baseline:
-        baseline = load_baseline(
-            baseline_path
-            if baseline_path is not None
-            else root / DEFAULT_BASELINE_NAME
-        )
-    new, old = split_baselined(kept, baseline)
     return CheckReport(
-        findings=new,
-        baselined=old,
+        findings=kept,
         suppressed=suppressed,
         n_files=len(modules) + len(parse_failures),
         checkers=names,
@@ -176,12 +157,10 @@ def run_check(
 def render_findings(report: CheckReport) -> str:
     """Human-readable report (the CLI's ``--format text``)."""
     lines = [f.render() for f in report.findings]
-    for f in report.baselined:
-        lines.append(f"{f.render()}  (baselined)")
     verdict = "ok" if report.ok else "FAILED"
     lines.append(
         f"repro check: {len(report.findings)} finding(s), "
-        f"{len(report.baselined)} baselined, {report.suppressed} suppressed "
+        f"{report.suppressed} suppressed "
         f"across {report.n_files} file(s) with {len(report.checkers)} "
         f"checker(s): {verdict}"
     )

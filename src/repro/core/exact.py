@@ -12,7 +12,7 @@ This module rebuilds the machinery around three composable ideas:
   comparisons over the edge list.
 
 * **Incremental (Gray-style) enumeration** — subsets are never re-scored
-  from scratch.  The vectorized kernel builds boundary tables with the
+  from scratch.  The full scan builds boundary tables with the
   binary-reflected doubling recurrence (each doubling step flips exactly one
   vertex into every previously enumerated subset — the batched form of a
   Gray-code walk, costing O(1) amortized words per subset), and prunes with
@@ -20,33 +20,37 @@ This module rebuilds the machinery around three composable ideas:
 
 * **Prefix-sharded parallel search** — the subset space splits into
   prefix-fixed spans (high vertex bits fixed, low bits enumerated by the
-  kernel).  Spans are independent, so they fan out over a ``spawn``
-  process pool with a shared running minimum for cross-shard pruning; the
-  merge is a deterministic lexicographic ``(h, mask)`` reduction, so results
-  are identical for every ``jobs`` value.
+  kernel).  Spans are independent, so they fan out over the shared worker
+  pool with a shared running minimum for cross-shard pruning; the merge is
+  a deterministic lexicographic ``(h, mask)`` reduction, so results are
+  identical for every ``jobs`` value.
 
-Exact ``h_s`` additionally gets a *size-restricted combinatorial walk*: only
-the ``C(n, ≤s)`` subsets of size at most ``s`` are visited (Gosper
-successor + one incremental flip per step), which
-makes ``h_s`` of a 40-vertex graph a few thousand evaluations instead of a
-``2^40`` enumeration.
+One scan context, :class:`_ScanCtx`, holds every table a full scan reads,
+and its :meth:`~_ScanCtx.scan` runs one prefix span on either kernel:
+``backend="bitset"`` runs the numpy kernel, ``backend="native"`` a small C
+kernel (:mod:`repro.core._native`, one ``.c`` file compiled with the system
+compiler at first use and loaded through ``ctypes``) that reads the same
+low-block tables plus single-word packed rows.  :func:`_full_scan` is the
+one driver for both: the same spans, pool fan-out and merge.  ``"auto"``
+picks native whenever the compiled library is importable and the graph fits
+single-word rows (n ≤ 64); when the compiler is missing or
+``REPRO_NATIVE=0`` is set, everything silently falls back to the numpy
+kernel — the native path is a pure accelerator, never a dependency, and its
+``(h, mask)`` results are bit-identical to the bitset backend's for every
+``jobs`` value.
 
-A second backend pushes the same scan to native speed: ``backend="native"``
-runs the prefix-sharded doubling walk inside a small C kernel
-(:mod:`repro.core._native`, one ``.c`` file compiled with the system
-compiler at first use and loaded through ``ctypes``).  It is auto-selected
-whenever the compiled library is importable and the graph fits in packed
-single-word rows (n ≤ 64); when the compiler is missing or ``REPRO_NATIVE=0``
-is set, everything silently falls back to the numpy bitset kernels — the
-native path is a pure accelerator, never a dependency, and its ``(h, mask)``
-results are bit-identical to the bitset backend's for every ``jobs`` value.
+Exact ``h_s`` additionally gets a *size-restricted walk*: a depth-first walk
+over the ``C(n, ≤s)`` subsets of size at most ``s``, flipping one vertex
+into the current set per step (O(1) Python-int bitset work, any ``n``),
+which makes ``h_s`` of a 40-vertex graph a few thousand evaluations instead
+of a ``2^40`` enumeration.  A cost model picks the walk or the full scan.
 
 Together these lift the exactly-solvable regime from 22 (seed) to 28
-(numpy kernels) to :data:`DEFAULT_EXACT_LIMIT` = 32 vertices with the
-native kernel (override with the ``REPRO_EXACT_LIMIT`` environment variable
-or the ``limit=`` parameter).  All kernels return results bit-identical to
-the seed enumerator: the same ``h`` float and the *smallest* minimizing
-subset mask.
+(numpy kernel) to :data:`DEFAULT_EXACT_LIMIT` = 32 vertices with the
+native kernel (override with the ``REPRO_EXACT_LIMIT`` environment variable,
+read on every call, or the ``limit=`` parameter).  All kernels return
+results bit-identical to the seed enumerator: the same ``h`` float and the
+*smallest* minimizing subset mask.
 """
 
 from __future__ import annotations
@@ -55,17 +59,18 @@ import ctypes
 import hashlib
 import math
 import os
-from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.cdag.graph import CDAG
 from repro.core import _native
 
+if TYPE_CHECKING:
+    from repro.engine.pool import SharedMinimum
+
 __all__ = [
     "DEFAULT_EXACT_LIMIT",
-    "EXACT_LIMIT",
     "COMB_SUBSET_LIMIT",
     "EXACT_BACKENDS",
     "effective_exact_limit",
@@ -79,20 +84,16 @@ __all__ = [
 #: just slower (raise/lower via REPRO_EXACT_LIMIT for the machine at hand).
 DEFAULT_EXACT_LIMIT = 32
 
-#: The active ceiling: ``REPRO_EXACT_LIMIT`` overrides the default, and every
-#: public entry point also accepts an explicit ``limit=``.
-EXACT_LIMIT = int(os.environ.get("REPRO_EXACT_LIMIT", DEFAULT_EXACT_LIMIT))
-
 
 def effective_exact_limit() -> int:
     """The enumeration ceiling in force *right now*.
 
-    Reads ``REPRO_EXACT_LIMIT`` on every call (unlike :data:`EXACT_LIMIT`,
-    which is frozen at import time), so policy decisions — and the cache
-    keys derived from them — track the environment a test or sweep set
-    after this module was first imported.
+    Reads ``REPRO_EXACT_LIMIT`` on every call, so policy decisions — and the
+    cache keys derived from them — track the environment a test or sweep
+    set after this module was first imported.
     """
     return int(os.environ.get("REPRO_EXACT_LIMIT", DEFAULT_EXACT_LIMIT))
+
 
 #: Most subsets the size-restricted walk will visit (C(n, ≤s) must fit).
 COMB_SUBSET_LIMIT = 1 << 24
@@ -109,33 +110,22 @@ def native_backend_available() -> bool:
     """True when the compiled C kernel can back ``backend="native"`` runs."""
     return _native.native_available()
 
-#: Low-block width: the vectorized kernel enumerates 2^_LOW_BITS subsets per
-#: prefix.  16 keeps every scratch table L2-resident while leaving ≥ 2^(n-16)
+
+#: Low-block width: both kernels enumerate 2^_LOW_BITS subsets per prefix.
+#: 16 keeps every scratch table L2-resident while leaving ≥ 2^(n-16)
 #: prefixes to shard across processes.
 _LOW_BITS = 16
 
 
-def _popcount(x: np.ndarray) -> np.ndarray:
-    """Vectorized popcount for non-negative integer arrays."""
-    if hasattr(np, "bitwise_count"):  # numpy >= 2.0: a single hardware-backed ufunc
-        return np.bitwise_count(x).astype(np.int64)
-    x = x.copy()
-    count = np.zeros_like(x, dtype=np.int64)
-    while np.any(x):
-        count += (x & type(x.flat[0])(1)).astype(np.int64)
-        x >>= 1
-    return count
-
-
-def _adjacency_ints(g: CDAG) -> list[int]:
+def _adjacency_ints(src: CDAG | np.ndarray) -> list[int]:
     """Per-vertex undirected neighborhoods as arbitrary-width Python ints.
 
-    Built from the packed :attr:`CDAG.adjacency_bits` words, so the bitset
-    rows are computed once per graph and shared by every kernel.
+    Decodes packed ``uint64`` rows: a graph's :attr:`CDAG.adjacency_bits`
+    (pass the graph) or the copy a pool worker reads from shared memory.
     """
-    words = g.adjacency_bits
+    rows = src.adjacency_bits if isinstance(src, CDAG) else src
     out = []
-    for row in words:
+    for row in rows:
         acc = 0
         for j in range(len(row) - 1, -1, -1):
             acc = (acc << 64) | int(row[j])
@@ -154,21 +144,23 @@ def _mask_to_bool(mask: int, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------- #
-# the vectorized prefix-sharded kernel                                    #
+# the prefix-sharded full scan                                            #
 # ---------------------------------------------------------------------- #
 
 
 class _ScanCtx:
-    """Precomputed tables for one graph's full subset scan.
+    """Every table one graph's full subset scan reads, for either kernel.
 
     The low block covers vertices ``0..b-1``; its per-subset size / internal
     cut tables are built once by the doubling recurrence and shared across
-    every prefix (and, in parallel runs, rebuilt once per worker).
+    every prefix (and, in parallel runs, rebuilt once per worker).  The numpy
+    kernel also reads the high-side tables; a ``native`` context also packs
+    the arrays the C kernel reads (one ``uint64`` word per row, n <= 64).
     """
 
-    def __init__(self, adj: list[int], deg: list[int], d: int, n: int, limit: int) -> None:
-        self.adj = adj
-        self.deg = deg
+    def __init__(
+        self, adj: list[int], deg: list[int], d: int, n: int, limit: int, native: bool
+    ) -> None:
         self.d = d
         self.n = n
         self.limit = limit
@@ -177,7 +169,7 @@ class _ScanCtx:
         # Doubling tables over the low block: step v extends the table by
         # flipping vertex v into every subset enumerated so far (the batched
         # Gray-code update), so sizes / cut boundaries cost O(1) per subset.
-        sizes = np.zeros(nlow, dtype=np.int32)
+        sizes = np.zeros(nlow, dtype=np.uint8)  # |L|
         cut = np.zeros(nlow, dtype=np.int32)  # vol(L) - 2*e(L)
         for v in range(b):
             half = 1 << v
@@ -206,17 +198,38 @@ class _ScanCtx:
             for u in range(b):
                 rows_low[j, u] = (row >> u) & 1
         self.rows_low = rows_low
+        self.adj: np.ndarray | None = None
+        self.deg: np.ndarray | None = None
+        if native:
+            self.adj = np.array(adj, dtype=np.uint64)
+            self.deg = np.array(deg, dtype=np.int64)
 
-    def n_prefixes(self) -> int:
-        return 1 << (self.n - self.b)
+    def scan(
+        self,
+        p_lo: int,
+        p_hi: int,
+        best: tuple[float, int],
+        shared: SharedMinimum | None = None,
+    ) -> tuple[float, int]:
+        """Scan prefixes ``[p_lo, p_hi)``; returns the lexicographic best
+        ``(h, mask)`` including the incoming ``best``.
+
+        ``shared`` is the pool's cross-shard running minimum: it tightens the
+        pruning threshold but never affects which candidate wins — the final
+        reduction is by ``(h, mask)``.
+        """
+        if self.adj is not None:
+            addr = None if shared is None else shared.addr()
+            return _native_scan_span(self, p_lo, p_hi, best, addr)
+        return _scan_span(self, p_lo, p_hi, best, shared)
 
 
-def _seed_singletons(ctx: _ScanCtx) -> tuple[float, int]:
+def _seed_singletons(deg: list[int], d: int) -> tuple[float, int]:
     """The best singleton cut — a real enumeration candidate that seeds the
     running minimum so branch-and-bound prunes from the very first chunk."""
     best_r, best_m = math.inf, 0
-    for v in range(ctx.n):
-        r = ctx.deg[v] / ctx.d
+    for v, dv in enumerate(deg):
+        r = dv / d
         if r < best_r:
             best_r, best_m = r, 1 << v
     return best_r, best_m
@@ -227,15 +240,9 @@ def _scan_span(
     p_lo: int,
     p_hi: int,
     best: tuple[float, int],
-    shared: Any = None,
+    shared: SharedMinimum | None,
 ) -> tuple[float, int]:
-    """Scan prefixes ``[p_lo, p_hi)``; returns the lexicographic best
-    ``(h, mask)`` including the incoming ``best``.
-
-    ``shared`` is an optional cross-process running minimum (a
-    ``multiprocessing.Value``): it tightens the pruning threshold but never
-    affects which candidate wins — the final reduction is by ``(h, mask)``.
-    """
+    """The numpy kernel behind :meth:`_ScanCtx.scan`."""
     b, d, limit = ctx.b, ctx.d, ctx.limit
     nlow = 1 << b
     sizesL = ctx.low_sizes
@@ -323,24 +330,52 @@ def _scan_span(
     return best_r, best_m
 
 
+def _native_scan_span(
+    ctx: _ScanCtx,
+    p_lo: int,
+    p_hi: int,
+    best: tuple[float, int],
+    shared_addr: int | None,
+) -> tuple[float, int]:
+    """The C kernel behind :meth:`_ScanCtx.scan`: one call over the span."""
+    assert ctx.adj is not None and ctx.deg is not None
+    lib = _native.load()
+    if lib is None:  # pragma: no cover - callers gate on availability first
+        raise RuntimeError(
+            "native exact backend unavailable: "
+            f"{_native.native_build_error() or 'not loaded'}"
+        )
+    out_r = ctypes.c_double(math.inf)
+    out_m = ctypes.c_uint64(0)
+    rc = lib.repro_exact_scan(
+        ctx.n,
+        ctx.b,
+        ctx.limit,
+        ctx.d,
+        ctx.adj.ctypes.data_as(ctypes.POINTER(ctypes.c_uint64)),
+        ctx.deg.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
+        ctx.low_cut.ctypes.data_as(ctypes.POINTER(ctypes.c_int32)),
+        ctx.low_sizes.ctypes.data_as(ctypes.POINTER(ctypes.c_uint8)),
+        p_lo,
+        p_hi,
+        best[0],
+        best[1],
+        shared_addr,
+        ctypes.byref(out_r),
+        ctypes.byref(out_m),
+    )
+    if rc != 0:
+        raise MemoryError("native exact scan could not allocate its scratch tables")
+    return float(out_r.value), int(out_m.value)
+
+
 # -- shared-pool span plumbing (spawn-safe module level) ----------------- #
 
 _MASK64 = (1 << 64) - 1
 
-#: The span task message: (shm name, context token, backend, n, words-per-
+#: The span task message: (shm name, context token, native, n, words-per-
 #: row, d, limit, degree tuple, p_lo, p_hi).
-_SpanMsg = tuple[str, str, str, int, int, int, int, "tuple[int, ...]", int, int]
-
-
-def _ints_from_rows(rows: np.ndarray, n: int, w: int) -> list[int]:
-    """Per-vertex Python-int neighborhoods from packed uint64 rows."""
-    out = []
-    for v in range(n):
-        acc = 0
-        for j in range(w - 1, -1, -1):
-            acc = (acc << 64) | int(rows[v, j])
-        out.append(acc)
-    return out
+_SpanMsg = tuple[str, str, bool, int, int, int, int, "tuple[int, ...]", int, int]
 
 
 def _pool_scan_span(msg: _SpanMsg) -> tuple[float, int]:
@@ -348,33 +383,26 @@ def _pool_scan_span(msg: _SpanMsg) -> tuple[float, int]:
 
     The message carries only scalars plus the name of the shared-memory
     segment holding the cross-shard running minimum (first 8 bytes) and
-    the packed adjacency rows.  The scan context — the doubling tables the
-    kernel re-reads on every span — is installed once per (graph, backend)
+    the packed adjacency rows.  The scan context — the tables the kernel
+    re-reads on every span — is installed once per (graph, backend)
     through the pool's worker context store and reused across all of that
     graph's spans, and across repeat scans of the same graph.
     """
     from repro.engine import pool as pool_runtime
 
-    shm_name, token, backend, n, w, d, limit, deg, p_lo, p_hi = msg
+    shm_name, token, native, n, w, d, limit, deg, p_lo, p_hi = msg
     shm = pool_runtime.attach_shm(shm_name)
     shared = pool_runtime.SharedMinimum(shm.buf)
     try:
 
-        def _build() -> Any:
+        def _build() -> _ScanCtx:
             rows = np.frombuffer(shm.buf, dtype=np.uint64, count=n * w, offset=8)
-            adj = _ints_from_rows(rows.reshape(n, w), n, w)
-            if backend == "native":
-                return _native_ctx(adj, list(deg), d, n, limit)
-            return _ScanCtx(adj, list(deg), d, n, limit)
+            adj = _adjacency_ints(rows.reshape(n, w))
+            return _ScanCtx(adj, list(deg), d, n, limit, native)
 
         ctx = pool_runtime.worker_ctx(token, _build)
-        if backend == "native":
-            assert isinstance(ctx, _NativeCtx)
-            return _native_scan_span(
-                ctx, p_lo, p_hi, (math.inf, 0), shared_addr=shared.addr()
-            )
         assert isinstance(ctx, _ScanCtx)
-        return _scan_span(ctx, p_lo, p_hi, (math.inf, 0), shared=shared)
+        return ctx.scan(p_lo, p_hi, (math.inf, 0), shared)
     finally:
         shared.close()
         try:
@@ -384,7 +412,7 @@ def _pool_scan_span(msg: _SpanMsg) -> tuple[float, int]:
 
 
 def _pooled_span_scan(
-    backend: str,
+    native: bool,
     adj: list[int],
     deg: list[int],
     d: int,
@@ -419,10 +447,10 @@ def _pooled_span_scan(
             for j in range(w):
                 rows[v, j] = (a >> (64 * j)) & _MASK64
         token = hashlib.sha256(
-            repr((backend, n, d, limit, tuple(deg))).encode() + rows.tobytes()
+            repr((native, n, d, limit, tuple(deg))).encode() + rows.tobytes()
         ).hexdigest()
         msgs: list[_SpanMsg] = [
-            (shm.name, token, backend, n, w, d, limit, tuple(deg), lo, hi)
+            (shm.name, token, native, n, w, d, limit, tuple(deg), lo, hi)
             for lo, hi in spans
         ]
         results = pool_runtime.submit_batch(
@@ -455,188 +483,35 @@ def _span_jobs(jobs: int, n_pref: int) -> int:
 
 
 def _full_scan(
-    adj: list[int], deg: list[int], d: int, n: int, limit: int, jobs: int
+    adj: list[int], deg: list[int], d: int, n: int, limit: int, jobs: int, native: bool
 ) -> tuple[float, int]:
-    """Minimum-ratio cut over every subset of size ``1..limit``."""
-    ctx = _ScanCtx(adj, deg, d, n, limit)
-    best = _seed_singletons(ctx)
-    n_pref = ctx.n_prefixes()
+    """Minimum-ratio cut over every subset of size ``1..limit``.
+
+    The one driver for both kernels (the C kernel when ``native``, numpy
+    otherwise): the same singleton seed, spans, pool fan-out and merge.
+    """
+    best = _seed_singletons(deg, d)
+    n_pref = 1 << (n - min(n, _LOW_BITS))
     jobs = _span_jobs(jobs, n_pref)
     if jobs == 1:
-        return _scan_span(ctx, 0, n_pref, best)
-    return _pooled_span_scan("bitset", adj, deg, d, n, limit, n_pref, jobs, best)
+        return _ScanCtx(adj, deg, d, n, limit, native).scan(0, n_pref, best)
+    return _pooled_span_scan(native, adj, deg, d, n, limit, n_pref, jobs, best)
 
 
 # ---------------------------------------------------------------------- #
-# the native (C kernel) scan                                              #
+# the size-restricted walk                                                #
 # ---------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class _NativeCtx:
-    """The packed tables one native scan call reads (per process).
-
-    The low-block doubling tables are the same ones :class:`_ScanCtx`
-    builds for the numpy kernel — the C scan consumes them directly, so the
-    two backends share one definition of the enumeration space.
-    """
-
-    n: int
-    b: int
-    limit: int
-    d: int
-    adj: np.ndarray  # (n,) uint64 — one packed word per vertex (n <= 64)
-    deg: np.ndarray  # (n,) int64
-    low_cut: np.ndarray  # (2^b,) int32: vol(L) - 2 e(L)
-    low_sizes: np.ndarray  # (2^b,) uint8: |L|
-
-    def n_prefixes(self) -> int:
-        return 1 << (self.n - self.b)
-
-
-def _native_ctx(adj: list[int], deg: list[int], d: int, n: int, limit: int) -> _NativeCtx:
-    if n > _NATIVE_MAX_VERTICES:
-        raise ValueError(
-            f"native backend packs rows into single uint64 words (n <= "
-            f"{_NATIVE_MAX_VERTICES}); got {n}"
-        )
-    scan = _ScanCtx(adj, deg, d, n, limit)
-    return _NativeCtx(
-        n=n,
-        b=scan.b,
-        limit=limit,
-        d=d,
-        adj=np.array(adj, dtype=np.uint64),
-        deg=np.array(deg, dtype=np.int64),
-        low_cut=np.ascontiguousarray(scan.low_cut, dtype=np.int32),
-        low_sizes=np.ascontiguousarray(scan.low_sizes, dtype=np.uint8),
-    )
-
-
-def _native_scan_span(
-    ctx: _NativeCtx,
-    p_lo: int,
-    p_hi: int,
-    best: tuple[float, int],
-    shared_addr: int | None = None,
-) -> tuple[float, int]:
-    """One C-kernel call over prefixes ``[p_lo, p_hi)`` — same contract as
-    :func:`_scan_span` (lexicographic best including the incoming seed)."""
-    lib = _native.load()
-    if lib is None:  # pragma: no cover - callers gate on availability first
-        raise RuntimeError(
-            "native exact backend unavailable: "
-            f"{_native.native_build_error() or 'not loaded'}"
-        )
-    out_r = ctypes.c_double(math.inf)
-    out_m = ctypes.c_uint64(0)
-    rc = lib.repro_exact_scan(
-        ctx.n,
-        ctx.b,
-        ctx.limit,
-        ctx.d,
-        ctx.adj.ctypes.data_as(ctypes.POINTER(ctypes.c_uint64)),
-        ctx.deg.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
-        ctx.low_cut.ctypes.data_as(ctypes.POINTER(ctypes.c_int32)),
-        ctx.low_sizes.ctypes.data_as(ctypes.POINTER(ctypes.c_uint8)),
-        p_lo,
-        p_hi,
-        best[0],
-        best[1],
-        shared_addr,
-        ctypes.byref(out_r),
-        ctypes.byref(out_m),
-    )
-    if rc != 0:
-        raise MemoryError("native exact scan could not allocate its scratch tables")
-    return float(out_r.value), int(out_m.value)
-
-
-def _full_scan_native(
-    adj: list[int], deg: list[int], d: int, n: int, limit: int, jobs: int
-) -> tuple[float, int]:
-    """:func:`_full_scan` on the C kernel — identical spans, pool, and merge."""
-    ctx = _native_ctx(adj, deg, d, n, limit)
-    best = _seed_singletons(_ScanCtx(adj, deg, d, n, limit))
-    n_pref = ctx.n_prefixes()
-    jobs = _span_jobs(jobs, n_pref)
-    if jobs == 1:
-        return _native_scan_span(ctx, 0, n_pref, best)
-    return _pooled_span_scan("native", adj, deg, d, n, limit, n_pref, jobs, best)
-
-
-# ---------------------------------------------------------------------- #
-# the size-restricted combinatorial walk                                  #
-# ---------------------------------------------------------------------- #
-
-
-def _gosper_chunks(n: int, j: int, chunk: int) -> Iterator[np.ndarray]:
-    """Yield uint64 arrays of all ``C(n, j)`` masks of popcount ``j``,
-    in ascending order (Gosper's successor), ``chunk`` masks at a time."""
-    m = (1 << j) - 1
-    top = 1 << n
-    buf: list[int] = []
-    while m < top:
-        buf.append(m)
-        if len(buf) == chunk:
-            yield np.array(buf, dtype=np.uint64)
-            buf = []
-        c = m & -m
-        r = m + c
-        m = (((r ^ m) >> 2) // c) | r
-    if buf:
-        yield np.array(buf, dtype=np.uint64)
-
-
-def _bounded_scan(
-    adj: list[int],
-    deg: list[int],
-    d: int,
-    n: int,
-    s_max: int,
-    best: tuple[float, int],
-) -> tuple[float, int]:
-    """Minimum-ratio cut over the ``C(n, ≤s_max)`` subsets of size ≤ s_max.
-
-    Vectorized over Gosper-ordered mask chunks: the boundary is
-    ``vol(U) − Σ_{v∈U} |N(v) ∩ U|`` computed with packed-word popcounts, so
-    the cost per subset is O(n/64) words, independent of |E|.
-    """
-    if n > 63:
-        raise ValueError(
-            "size-restricted exact walk supports at most 63 vertices "
-            f"(got {n}); shard the graph or use the spectral sandwich"
-        )
-    adj64 = np.array([a for a in adj], dtype=np.uint64)
-    deg64 = np.array(deg, dtype=np.int64)
-    shifts = np.arange(n, dtype=np.uint64)
-    one = np.uint64(1)
-    best_r, best_m = best
-    for j in range(1, s_max + 1):
-        dj = d * j
-        for masks in _gosper_chunks(n, j, 1 << 14):
-            member = ((masks[:, None] >> shifts[None, :]) & one).astype(np.int64)
-            inter = _popcount(masks[:, None] & adj64[None, :])
-            bnd = member @ deg64 - (inter * member).sum(axis=1)
-            ratios = bnd / dj
-            i = int(np.argmin(ratios))
-            r = float(ratios[i])
-            m = int(masks[i])
-            if r < best_r or (r == best_r and m < best_m):
-                best_r, best_m = r, m
-    return best_r, best_m
 
 
 def _bounded_walk_py(
     adj: list[int], deg: list[int], d: int, n: int, s_max: int
 ) -> tuple[float, int]:
-    """Pure-Python size-restricted walk: DFS over the subset lattice.
+    """Size-restricted walk: DFS over the subsets of size ``1..s_max``.
 
-    Python ints hold the masks, so this serves graphs beyond the 63 vertices
-    :func:`_bounded_scan`'s uint64 masks reach.  Each step flips exactly one
-    vertex into the current set (the revolving-door idea: C(n, ≤s) states,
-    O(1) bitset work per transition), so exact ``h_s`` never touches the 2^n
-    space.
+    Python ints hold the masks, so any ``n`` works.  Each step flips exactly
+    one vertex into the current set (the revolving-door idea: C(n, ≤s)
+    states, O(1) bitset work per transition), so exact ``h_s`` never touches
+    the 2^n space.  Ties go to the smallest mask, as in the full scan.
     """
     best_r, best_m = math.inf, 0
 
@@ -678,17 +553,17 @@ def exact_edge_expansion_v2(
     Bit-identical to the seed enumerator on every input it could solve: the
     same ``h`` and the smallest minimizing subset mask.  ``jobs > 1`` shards
     the subset space over processes (identical results for any ``jobs``).
-    ``backend`` selects ``"native"`` (the compiled C kernel) or ``"bitset"``
-    (vectorized numpy kernels); ``"auto"`` picks native when the compiled
+    ``backend`` selects the full scan's kernel: ``"native"`` (the compiled C
+    kernel) or ``"bitset"`` (the numpy kernel); ``"auto"`` picks native when the compiled
     library is importable and the graph fits single-word rows, bitset
     otherwise.  Both backends return bit-identical ``(h, mask)``.
     """
     n = g.n_vertices
     if n < 2:
         raise ValueError("expansion undefined for graphs with < 2 vertices")
-    # Per-call read, not the import-time constant: REPRO_EXACT_LIMIT flipped
-    # at runtime must move this gate in lockstep with the auto-policy cache
-    # keys (which already call effective_exact_limit()).
+    # Per-call read: REPRO_EXACT_LIMIT flipped at runtime must move this gate
+    # in lockstep with the auto-policy cache keys (which also call
+    # effective_exact_limit()).
     lim = effective_exact_limit() if limit is None else limit
     if backend not in EXACT_BACKENDS:
         raise ValueError(f"unknown exact backend {backend!r}; choose from {EXACT_BACKENDS}")
@@ -732,22 +607,17 @@ def exact_edge_expansion_v2(
                 f"{COMB_SUBSET_LIMIT} subsets"
             )
 
-    # Cost-based choice between the full doubling scan and the combinatorial
+    # Cost-based choice between the full doubling scan and the size-restricted
     # walk; both are exact and tie-break identically, so this is pure perf.
-    # (The size-restricted walk shares the bitset machinery regardless of
-    # backend — the native kernel only accelerates the full scan.)
+    # (The walk serves every backend — the kernels only run the full scan.)
     use_comb = comb_feasible and (n > lim or comb_count * n < (1 << n))
     if use_comb:
-        if n > 63:  # beyond uint64 masks: the Python-int walk still works
-            r, m = _bounded_walk_py(adj, deg, d, n, size_cap)
-        else:
-            r, m = _bounded_scan(adj, deg, d, n, size_cap, (math.inf, 0))
-    elif backend == "native" or (
-        backend == "auto" and n <= _NATIVE_MAX_VERTICES and _native.native_available()
-    ):
-        r, m = _full_scan_native(adj, deg, d, n, size_cap, jobs)
+        r, m = _bounded_walk_py(adj, deg, d, n, size_cap)
     else:
-        r, m = _full_scan(adj, deg, d, n, size_cap, jobs)
+        native = backend == "native" or (
+            backend == "auto" and n <= _NATIVE_MAX_VERTICES and _native.native_available()
+        )
+        r, m = _full_scan(adj, deg, d, n, size_cap, jobs, native)
     return r, _mask_to_bool(m, n)
 
 

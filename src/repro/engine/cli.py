@@ -296,16 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="findings rendering (default: text)",
     )
     check.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="report grandfathered findings too, instead of filtering them",
-    )
-    check.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the committed baseline to grandfather current findings",
-    )
-    check.add_argument(
         "--list", action="store_true", help="list registered checkers and exit"
     )
 
@@ -466,18 +456,7 @@ def _cmd_expansion(args: argparse.Namespace, cache: EngineCache, out: TextIO) ->
         args.scheme, args.k, policy=args.policy, cache=cache, jobs=args.jobs
     )
     # Strict-JSON invariant (same as the sweep report): NaN → null.
-    payload = {
-        "scheme": args.scheme,
-        "k": args.k,
-        "policy": args.policy,
-        "lower": est.lower,
-        "upper": est.upper,
-        "witness_size": est.witness_size,
-        "witness_boundary": est.witness_boundary,
-        "degree": est.degree,
-        "method": est.method,
-        "interval": est.interval().as_dict(),
-    }
+    payload = {"scheme": args.scheme, "k": args.k, "policy": args.policy, **est.as_dict()}
     print(json.dumps(jsonable(payload), indent=2, allow_nan=False), file=out)
     return 0
 
@@ -573,9 +552,7 @@ def _cmd_check(args: argparse.Namespace, out: TextIO) -> int:
         get_checker,
         render_findings,
         run_check,
-        write_baseline,
     )
-    from repro.analysis.baseline import DEFAULT_BASELINE_NAME
 
     root = Path.cwd()
     if args.list:
@@ -587,22 +564,7 @@ def _cmd_check(args: argparse.Namespace, out: TextIO) -> int:
     if args.select:
         by_code = {get_checker(n).code: n for n in available_checkers()}
         select = [by_code.get(s, s) for s in args.select]
-    report = run_check(
-        paths=args.paths,
-        select=select,
-        root=root,
-        use_baseline=not args.no_baseline,
-    )
-    if args.update_baseline:
-        baseline = write_baseline(
-            report.findings + report.baselined, root / DEFAULT_BASELINE_NAME
-        )
-        print(
-            f"baselined {len(report.findings) + len(report.baselined)} "
-            f"finding(s) -> {baseline}",
-            file=out,
-        )
-        return 0
+    report = run_check(paths=args.paths, select=select, root=root)
     if args.format == "json":
         print(report.to_json(), file=out)
     else:

@@ -16,9 +16,10 @@ instead of per-pool ``initializer=`` plumbing:
   disk root and memory caps (run inline, a task gets the caller's object;
   :func:`run_counted` returns the worker's counter delta for the caller
   to ``merge_stats``, so every count lands on the caller's cache once);
-* exact scans ship a shared-memory handle whose :class:`_ScanCtx` tables a
-  worker installs once per graph (:func:`worker_ctx`) and reuses across
-  all of that graph's prefix spans.
+* exact scans ship a shared-memory handle from which a worker builds the
+  graph's scan context (``repro.core.exact._ScanCtx``: the tables of the
+  numpy or the C kernel) once per graph (:func:`worker_ctx`) and reuses it
+  across all of that graph's prefix spans.
 
 Transport is a duplex pipe per worker carrying pickle **protocol 5**
 frames with out-of-band buffers: large contiguous arrays (packed uint64
@@ -204,8 +205,8 @@ def worker_ctx(token: str, build: Callable[[], Any]) -> Any:
 
     The replacement for per-pool ``initializer=`` plumbing: a task message
     carries a small content token (cache settings, a graph digest) and the
-    worker materializes the heavy context (an :class:`EngineCache`, a
-    ``_ScanCtx`` table set) on first sight, then reuses it for every later
+    worker materializes the heavy context (an :class:`EngineCache`, an
+    exact scan's ``_ScanCtx``) on first sight, then reuses it for every later
     task with the same token — across batches and across call sites,
     because the pool itself is persistent.  Bounded LRU, so a long session
     touching many graphs cannot grow worker memory without bound.
@@ -693,7 +694,7 @@ class SharedMinimum:
 
     Drop-in for the ``multiprocessing.Value("d")`` the ad-hoc exact pools
     inherited into their workers: exposes ``.value`` and ``get_lock()``
-    (the ``_scan_span`` contract) plus :meth:`addr` for the native kernel's
+    (what the numpy scan kernel reads) plus :meth:`addr` for the native kernel's
     compare-and-swap.  The lock is process-local, so cross-process updates
     race benignly — that is safe here because every written value is a
     genuine candidate ratio (the minimum only *tightens* pruning, never

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from repro.cdag.schemes import get_scheme
-from repro.core.expansion import EXACT_LIMIT
+from repro.core.expansion import effective_exact_limit
 from repro.engine.builders import cached_dec_graph, cached_estimate
 from repro.engine.cache import EngineCache
 from repro.util.numutil import fit_power_law
@@ -33,8 +33,9 @@ def expansion_decay(
 ) -> dict:
     """Two-sided h(Dec_k C) estimates for k = 1..k_max plus decay fits.
 
-    Rows whose graph fits under :data:`EXACT_LIMIT` are solved exactly —
-    with the v2 engine (limit 28) that now reaches past ``Dec_1``: e.g.
+    Rows whose graph fits under :func:`effective_exact_limit` (read per
+    row, so ``REPRO_EXACT_LIMIT`` set at runtime counts) are solved exactly —
+    with the v2 engine (limit 32) that now reaches past ``Dec_1``: e.g.
     ``Dec_2`` of the ⟨1,2,2⟩-type rectangular schemes gets an exact row
     where it previously leaned on the spectral/cone sandwich alone.
     ``spectral_upto`` caps the eigen-solves (they dominate cold run time);
@@ -49,7 +50,7 @@ def expansion_decay(
     ks, uppers = [], []
     for k in range(1, k_max + 1):
         g = cached_dec_graph(s, k, cache=cache)
-        if g.n_vertices <= EXACT_LIMIT:
+        if g.n_vertices <= effective_exact_limit():
             policy = "exact"
         elif k <= spectral_upto:
             policy = "spectral"

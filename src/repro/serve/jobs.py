@@ -222,15 +222,7 @@ def _expansion_payload(params: dict[str, Any], cache: EngineCache) -> dict[str, 
         "scheme": params["scheme"],
         "k": params["k"],
         "policy": params["policy"],
-        "lower": est.lower,
-        "upper": est.upper,
-        "witness_size": est.witness_size,
-        "witness_boundary": est.witness_boundary,
-        "degree": est.degree,
-        "method": est.method,
-        # Certified interval: both endpoints finite (cone-only rows get the
-        # trivial 0 lower where "lower" above serializes to null).
-        "interval": est.interval().as_dict(),
+        **est.as_dict(),
     }
 
 

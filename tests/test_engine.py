@@ -307,6 +307,17 @@ class TestEstimatePolicies:
         assert again == warm
         assert cache.stats.hits > hits_before  # same key: served from cache
 
+    def test_expansion_decay_reads_the_limit_per_call(self, cache, monkeypatch):
+        """E3 rows pick the exact policy from the ceiling in force now: a
+        REPRO_EXACT_LIMIT set after import must not route an 11-vertex
+        Dec_1 into an exact solve the engine then refuses."""
+        from repro.experiments.expansion_exp import expansion_decay
+
+        monkeypatch.setenv("REPRO_EXACT_LIMIT", "8")
+        result = expansion_decay("strassen", k_max=2, spectral_upto=2, cache=cache)
+        assert [r["V"] for r in result["rows"]] == [11, 93]
+        assert all(r["method"].startswith("spectral") for r in result["rows"])
+
 
 class TestGrid:
     SPEC = GridSpec.from_ranges(

@@ -8,6 +8,8 @@ bit-for-bit — the same ``h`` float and the same (smallest) witness mask.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,9 +20,9 @@ from repro.cdag.graph import CDAG, VertexKind
 from repro.cdag.strassen_cdag import dec_graph
 from repro.core.exact import (
     DEFAULT_EXACT_LIMIT,
-    EXACT_LIMIT,
     _adjacency_ints,
     _bounded_walk_py,
+    effective_exact_limit,
     exact_edge_expansion_v2,
     exact_small_set_expansion_v2,
 )
@@ -164,7 +166,6 @@ class TestRuntimeLimitFlip:
 class TestRaisedLimit:
     def test_limit_is_32_plus(self):
         assert DEFAULT_EXACT_LIMIT >= 32
-        assert EXACT_LIMIT >= 32
 
     def test_n26_full_solve_works(self):
         g = layered_circulant_cdag(26)
@@ -192,7 +193,7 @@ class TestRaisedLimit:
         assert h == pytest.approx(expansion_of_cut(g, mask))
 
     def test_beyond_limit_rejected_without_max_size(self):
-        g = layered_circulant_cdag(EXACT_LIMIT + 1)
+        g = layered_circulant_cdag(effective_exact_limit() + 1)
         with pytest.raises(ValueError, match="enumeration"):
             exact_edge_expansion_v2(g)
 
@@ -250,16 +251,28 @@ class TestSmallSetWalk:
         with pytest.raises(ValueError, match="infeasible"):
             exact_edge_expansion_v2(g, max_size=30, limit=28)
 
-    def test_beyond_uint64_uses_python_int_walk(self):
-        # n > 63 exceeds the vectorized walk's packed masks; the scalar
-        # combinatorial walk (arbitrary-width ints) takes over seamlessly.
-        g = layered_circulant_cdag(70)
+    @pytest.mark.parametrize("n", [63, 64, 70])
+    def test_walk_at_the_uint64_boundary_matches_combinations(self, n):
+        # Around one machine word of vertices: the walk's Python-int masks
+        # must agree with a plain itertools.combinations enumeration.
+        g = layered_circulant_cdag(n)
         h2, mask = exact_edge_expansion_v2(g, max_size=2)
-        adj = _adjacency_ints(g)
-        deg = [int(x) for x in g.degree]
-        r_ref, _ = _bounded_walk_py(adj, deg, g.max_degree, 70, 2)
-        assert h2 == r_ref
-        assert 1 <= mask.sum() <= 2
+        u, v = g.undirected_edges
+        edges = list(zip(u.tolist(), v.tolist()))
+        d = g.max_degree
+        best = None
+        for size in (1, 2):
+            for subset in itertools.combinations(range(n), size):
+                inside = set(subset)
+                bnd = sum((a in inside) != (b in inside) for a, b in edges)
+                cand = (bnd / (d * size), sum(1 << i for i in subset))
+                if best is None or cand < best:
+                    best = cand
+        h_ref, m_ref = best
+        assert h2 == h_ref
+        assert sorted(np.flatnonzero(mask).tolist()) == [
+            i for i in range(n) if (m_ref >> i) & 1
+        ]
 
 
 class TestBitsetAdjacency:

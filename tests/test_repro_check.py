@@ -1,7 +1,7 @@
 """The ``repro check`` static-analysis subsystem.
 
 Each shipped checker gets a true-positive and a true-negative fixture
-(tiny synthetic trees under ``tmp_path``), the baseline round-trips, the
+(tiny synthetic trees under ``tmp_path``), the
 JSON report schema is pinned, and — the meta-gate — the repo's own
 ``src/`` tree must come back clean.
 """
@@ -14,13 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    available_checkers,
-    load_baseline,
-    run_check,
-    write_baseline,
-)
-from repro.analysis.baseline import split_baselined
+from repro.analysis import available_checkers, run_check
 from repro.analysis.runner import CHECK_SCHEMA_VERSION
 from repro.engine.cli import main as cli_main
 
@@ -31,7 +25,7 @@ def check_snippet(tmp_path: Path, source: str, select: list[str] | None = None):
     """Run checkers over one synthetic module rooted at ``tmp_path``."""
     mod = tmp_path / "mod.py"
     mod.write_text(textwrap.dedent(source))
-    return run_check(paths=[mod], select=select, root=tmp_path, use_baseline=False)
+    return run_check(paths=[mod], select=select, root=tmp_path)
 
 
 def codes(report) -> list[str]:
@@ -463,9 +457,7 @@ class TestAdHocPool:
                 """
             )
         )
-        report = run_check(
-            paths=[mod], select=["adhoc-pool"], root=tmp_path, use_baseline=False
-        )
+        report = run_check(paths=[mod], select=["adhoc-pool"], root=tmp_path)
         assert codes(report) == []
 
 
@@ -709,7 +701,7 @@ class TestBroadExcept:
 
 
 # --------------------------------------------------------------------- #
-# framework: parse failures, baseline, schema, CLI, self-check          #
+# framework: parse failures, schema, CLI, self-check                    #
 # --------------------------------------------------------------------- #
 
 
@@ -719,39 +711,16 @@ class TestFramework:
         assert codes(report) == ["RC001"]
         assert not report.ok
 
-    def test_baseline_round_trip(self, tmp_path):
-        mod = tmp_path / "mod.py"
-        mod.write_text("def f():\n    try:\n        pass\n    except Exception:\n        pass\n")
-        report = run_check(paths=[mod], root=tmp_path, use_baseline=False)
-        assert len(report.findings) == 1
-
-        baseline_path = tmp_path / "repro_check_baseline.json"
-        write_baseline(report.findings, baseline_path)
-        identities = load_baseline(baseline_path)
-        assert identities == {f.identity() for f in report.findings}
-        new, old = split_baselined(report.findings, identities)
-        assert new == [] and len(old) == 1
-
-        rerun = run_check(paths=[mod], root=tmp_path)  # picks the file up by name
-        assert rerun.findings == [] and len(rerun.baselined) == 1 and rerun.ok
-
-    def test_unknown_baseline_schema_is_a_hard_error(self, tmp_path):
-        path = tmp_path / "repro_check_baseline.json"
-        path.write_text(json.dumps({"schema_version": 99, "findings": []}))
-        with pytest.raises(ValueError, match="schema_version"):
-            load_baseline(path)
-
     def test_json_report_schema_is_stable(self, tmp_path):
         report = check_snippet(tmp_path, "x = 1\n")
         doc = json.loads(report.to_json())
-        assert doc["schema_version"] == CHECK_SCHEMA_VERSION == 1
+        assert doc["schema_version"] == CHECK_SCHEMA_VERSION == 2
         assert set(doc) == {
             "schema_version",
             "checkers",
             "files",
             "ok",
             "findings",
-            "baselined",
             "suppressed",
         }
         assert doc["ok"] is True and doc["files"] == 1

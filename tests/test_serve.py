@@ -131,6 +131,22 @@ class TestEndpoints:
         assert body["interval"]["upper"] == pytest.approx(iv.upper)
         assert body["interval"]["lower"] <= body["interval"]["upper"]
 
+    def test_cli_expansion_json_equals_serve_payload(self, capsys):
+        """`python -m repro expansion --k 2` and `/expansion?k=2` encode one
+        estimate the same way: same keys, same order, same values."""
+        import json
+
+        from repro.engine.cli import main as cli_main
+        from repro.serve.jobs import build_payload
+        from repro.util.jsonutil import jsonable
+
+        assert cli_main(["--no-cache", "expansion", "--k", "2"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        payload = build_payload(parse_job("expansion", {"k": "2"}), EngineCache(disk=False))
+        served = json.loads(json.dumps(jsonable(payload), allow_nan=False))
+        assert list(printed) == list(served)
+        assert printed == served
+
     def test_cone_only_nan_serializes_as_null(self, cache):
         async def scenario(svc):
             return await _get(svc, "/expansion?scheme=strassen&k=5")
