@@ -11,7 +11,11 @@ mix's distinct jobs run one after another over a fresh memory-only cache:
 racing requests may not build any artifact twice, and no build may be
 counted twice.  Pool workers share only the cache directory, so with
 live workers two of them may build the same artifact and no count is
-checked.  Exits non-zero on any failure; prints one summary line on
+checked.  The service must also report (in ``/cache/info``) the
+program's BLAS default: each of ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` is ``"1"`` unless the caller
+of this script set it, in which case the service sees the caller's
+value.  Exits non-zero on any failure; prints one summary line on
 success.
 
 Usage::
@@ -35,6 +39,7 @@ from urllib.parse import parse_qsl, urlsplit
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from repro._blas import BLAS_THREAD_ENV  # noqa: E402
 from repro.engine.cache import EngineCache  # noqa: E402
 from repro.engine.pool import pool_enabled  # noqa: E402
 from repro.serve.http import fetch_json  # noqa: E402
@@ -139,6 +144,9 @@ def main() -> int:
     stats = info["stats"]
     if service["errors"] != 0:
         raise SystemExit(f"service counted {service['errors']} errors")
+    expected_blas = {name: os.environ.get(name, "1") for name in BLAS_THREAD_ENV}
+    if info["pool"]["blas_env"] != expected_blas:
+        raise SystemExit(f"service BLAS env {info['pool']['blas_env']}; expected {expected_blas}")
     if args.workers == 0 or not pool_enabled():  # every build ran in the service
         expected = serial_builds()
         if stats["builds"] != expected:

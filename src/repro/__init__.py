@@ -19,154 +19,97 @@ Quick start::
 
 See README.md for the system inventory and :mod:`repro.experiments` for
 the paper-vs-measured harnesses.
+
+The package root is lazy (PEP 562): ``import repro`` loads no numpy or
+scipy, and each exported name is imported from its defining module on first
+access.  That keeps ``python -m repro`` free to set its BLAS thread default
+(:mod:`repro._blas`) before numpy loads.  The subpackages import eagerly as
+usual (``import repro.engine`` loads the engine and its dependencies).
 """
 
-from repro.cdag.graph import CDAG, VertexKind
-from repro.cdag.schemes import (
-    BilinearScheme,
-    available_schemes,
-    compose_schemes,
-    get_scheme,
-)
-from repro.cdag.strassen_cdag import HGraph, dec_graph, enc_graph, h_graph
-from repro.cdag.classical_cdag import classical_matmul_cdag, matvec_cdag
-from repro.cdag.pebble import exhaustive_min_io, schedule_io
-from repro.cdag.schedule import (
-    bfs_topological_order,
-    dfs_topological_order,
-    random_topological_order,
-)
-from repro.core.bounds import (
-    LG7,
-    latency_bound,
-    memory_independent_bound,
-    parallel_io_bound,
-    perfect_scaling_limit,
-    scaling_regime,
-    sequential_io_bound,
-    sequential_io_upper,
-    table1_rows,
-)
-from repro.core.exact import (
-    exact_edge_expansion_v2,
-    exact_small_set_expansion_v2,
-)
-from repro.core.expansion import (
-    ExpansionEstimate,
-    decode_cone_mask,
-    estimate_expansion,
-    exact_edge_expansion,
-    exact_small_set_expansion,
-    expansion_of_cut,
-)
-from repro.core.partition import best_partition_bound, partition_bound, segment_stats
-from repro.algorithms.strassen import bilinear_multiply, count_flops, strassen_multiply
-from repro.algorithms.io_strassen import dfs_io, dfs_io_model
-from repro.algorithms.io_classical import blocked_io, naive_io, recursive_io
-from repro.engine import (
-    EngineCache,
-    GridPoint,
-    GridReport,
-    GridSpec,
-    ScalingPoint,
-    ScalingReport,
-    ScalingSpec,
-    cached_dec_graph,
-    cached_estimate,
-    cached_h_graph,
-    cached_spectrum,
-    default_cache,
-    run_grid,
-    scaling_sweep,
-)
-from repro.engine.planner import Plan, plan
-from repro.machine.cache import FastMemory
-from repro.machine.distributed import Machine, Message
-from repro.parallel import (
-    AnalyticCost,
-    ParallelAlgorithm,
-    ParallelConfig,
-    ParallelResult,
-    available_parallel,
-    get_parallel,
-)
-from repro.topology import Device, Link, Topology
+import importlib
+from typing import Any
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CDAG",
-    "VertexKind",
-    "BilinearScheme",
-    "available_schemes",
-    "compose_schemes",
-    "get_scheme",
-    "HGraph",
-    "dec_graph",
-    "enc_graph",
-    "h_graph",
-    "classical_matmul_cdag",
-    "matvec_cdag",
-    "exhaustive_min_io",
-    "schedule_io",
-    "bfs_topological_order",
-    "dfs_topological_order",
-    "random_topological_order",
-    "LG7",
-    "latency_bound",
-    "memory_independent_bound",
-    "parallel_io_bound",
-    "perfect_scaling_limit",
-    "scaling_regime",
-    "sequential_io_bound",
-    "sequential_io_upper",
-    "table1_rows",
-    "ExpansionEstimate",
-    "decode_cone_mask",
-    "estimate_expansion",
-    "exact_edge_expansion",
-    "exact_edge_expansion_v2",
-    "exact_small_set_expansion",
-    "exact_small_set_expansion_v2",
-    "expansion_of_cut",
-    "best_partition_bound",
-    "partition_bound",
-    "segment_stats",
-    "bilinear_multiply",
-    "count_flops",
-    "strassen_multiply",
-    "dfs_io",
-    "dfs_io_model",
-    "blocked_io",
-    "naive_io",
-    "recursive_io",
-    "EngineCache",
-    "GridPoint",
-    "GridReport",
-    "GridSpec",
-    "ScalingPoint",
-    "ScalingReport",
-    "ScalingSpec",
-    "cached_dec_graph",
-    "cached_estimate",
-    "cached_h_graph",
-    "cached_spectrum",
-    "default_cache",
-    "run_grid",
-    "scaling_sweep",
-    "FastMemory",
-    "Machine",
-    "Message",
-    "AnalyticCost",
-    "ParallelAlgorithm",
-    "ParallelConfig",
-    "ParallelResult",
-    "available_parallel",
-    "get_parallel",
-    "Device",
-    "Link",
-    "Topology",
-    "Plan",
-    "plan",
-    "__version__",
-]
+#: Every exported name, grouped by its defining module.
+_EXPORTS: dict[str, tuple[str, ...]] = {
+    "repro.cdag.graph": ("CDAG", "VertexKind"),
+    "repro.cdag.schemes": (
+        "BilinearScheme",
+        "available_schemes",
+        "compose_schemes",
+        "get_scheme",
+    ),
+    "repro.cdag.strassen_cdag": ("HGraph", "dec_graph", "enc_graph", "h_graph"),
+    "repro.cdag.classical_cdag": ("classical_matmul_cdag", "matvec_cdag"),
+    "repro.cdag.pebble": ("exhaustive_min_io", "schedule_io"),
+    "repro.cdag.schedule": (
+        "bfs_topological_order",
+        "dfs_topological_order",
+        "random_topological_order",
+    ),
+    "repro.core.bounds": (
+        "LG7",
+        "latency_bound",
+        "memory_independent_bound",
+        "parallel_io_bound",
+        "perfect_scaling_limit",
+        "scaling_regime",
+        "sequential_io_bound",
+        "sequential_io_upper",
+        "table1_rows",
+    ),
+    "repro.core.exact": ("exact_edge_expansion_v2", "exact_small_set_expansion_v2"),
+    "repro.core.expansion": (
+        "ExpansionEstimate",
+        "decode_cone_mask",
+        "estimate_expansion",
+        "exact_edge_expansion",
+        "exact_small_set_expansion",
+        "expansion_of_cut",
+    ),
+    "repro.core.partition": ("best_partition_bound", "partition_bound", "segment_stats"),
+    "repro.algorithms.strassen": ("bilinear_multiply", "count_flops", "strassen_multiply"),
+    "repro.algorithms.io_strassen": ("dfs_io", "dfs_io_model"),
+    "repro.algorithms.io_classical": ("blocked_io", "naive_io", "recursive_io"),
+    "repro.engine.cache": ("EngineCache", "default_cache"),
+    "repro.engine.grid": ("GridPoint", "GridReport", "GridSpec", "run_grid"),
+    "repro.engine.scaling": ("ScalingPoint", "ScalingReport", "ScalingSpec", "scaling_sweep"),
+    "repro.engine.builders": (
+        "cached_dec_graph",
+        "cached_estimate",
+        "cached_h_graph",
+        "cached_spectrum",
+    ),
+    "repro.engine.planner": ("Plan", "plan"),
+    "repro.machine.cache": ("FastMemory",),
+    "repro.machine.distributed": ("Machine", "Message"),
+    "repro.parallel.base": (
+        "AnalyticCost",
+        "ParallelAlgorithm",
+        "ParallelConfig",
+        "ParallelResult",
+        "available_parallel",
+        "get_parallel",
+    ),
+    "repro.topology.model": ("Device", "Link", "Topology"),
+}
+
+#: Name -> defining module: the one table ``__getattr__`` reads.
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name: str) -> Any:
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value  # later lookups skip __getattr__
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -556,7 +556,9 @@ def exact_edge_expansion_v2(
     ``backend`` selects the full scan's kernel: ``"native"`` (the compiled C
     kernel) or ``"bitset"`` (the numpy kernel); ``"auto"`` picks native when the compiled
     library is importable and the graph fits single-word rows, bitset
-    otherwise.  Both backends return bit-identical ``(h, mask)``.
+    otherwise.  Both backends return bit-identical ``(h, mask)``.  When
+    ``max_size`` makes the size-restricted walk the cheaper exact method,
+    the walk runs for every backend and no kernel limit applies.
     """
     n = g.n_vertices
     if n < 2:
@@ -567,18 +569,6 @@ def exact_edge_expansion_v2(
     lim = effective_exact_limit() if limit is None else limit
     if backend not in EXACT_BACKENDS:
         raise ValueError(f"unknown exact backend {backend!r}; choose from {EXACT_BACKENDS}")
-    if backend == "native":
-        if n > _NATIVE_MAX_VERTICES:
-            raise ValueError(
-                f"native backend packs rows into single uint64 words "
-                f"(n <= {_NATIVE_MAX_VERTICES}); got {n}"
-            )
-        if not _native.native_available():
-            raise RuntimeError(
-                "native exact backend unavailable "
-                f"({_native.native_build_error() or 'compile not attempted'}); "
-                'use backend="bitset" or fix the C toolchain'
-            )
     size_cap = n // 2 if max_size is None else min(max_size, n)
     if size_cap < 1:
         raise ValueError("max_size must be at least 1")
@@ -609,11 +599,24 @@ def exact_edge_expansion_v2(
 
     # Cost-based choice between the full doubling scan and the size-restricted
     # walk; both are exact and tie-break identically, so this is pure perf.
-    # (The walk serves every backend — the kernels only run the full scan.)
+    # (The walk serves every backend — the kernels only run the full scan,
+    # so only the full scan checks that the named kernel can run.)
     use_comb = comb_feasible and (n > lim or comb_count * n < (1 << n))
     if use_comb:
         r, m = _bounded_walk_py(adj, deg, d, n, size_cap)
     else:
+        if backend == "native":
+            if n > _NATIVE_MAX_VERTICES:
+                raise ValueError(
+                    f"native backend packs rows into single uint64 words "
+                    f"(n <= {_NATIVE_MAX_VERTICES}); got {n}"
+                )
+            if not _native.native_available():
+                raise RuntimeError(
+                    "native exact backend unavailable "
+                    f"({_native.native_build_error() or 'compile not attempted'}); "
+                    'use backend="bitset" or fix the C toolchain'
+                )
         native = backend == "native" or (
             backend == "auto" and n <= _NATIVE_MAX_VERTICES and _native.native_available()
         )

@@ -55,8 +55,10 @@ Lifecycle and failure semantics:
 * every worker starts with one BLAS thread: ``OPENBLAS_NUM_THREADS``,
   ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` default to ``1`` in the
   spawned process (a value the user set passes through), because the
-  pool's parallelism is its processes; the parent's environment and BLAS
-  threads are untouched.
+  pool's parallelism is its processes.  This is the program's one BLAS
+  policy (:mod:`repro._blas`); ``python -m repro`` applies it to its own
+  process too.  The pool leaves the parent's environment as it found it,
+  so library callers keep their BLAS width.
 
 Telemetry mirrors ``EngineCache.stats_snapshot()``: monotone counters
 (``pool_starts``, ``workers_spawned``, ``tasks_dispatched``,
@@ -84,6 +86,8 @@ from multiprocessing import shared_memory
 from typing import TYPE_CHECKING, Any, Callable, Sequence, TypeVar
 
 import numpy as np
+
+from repro._blas import BLAS_THREAD_ENV, default_blas_threads
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
@@ -129,11 +133,6 @@ _CHUNKS_PER_WORKER = 4
 
 #: Per-worker context-store capacity (see :func:`worker_ctx`).
 _CTX_STORE_MAX = 8
-
-#: Thread-count variables a worker starts with set to ``"1"`` unless the
-#: user set them: N workers with default-width BLAS pools oversubscribe
-#: the CPUs.
-_WORKER_BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 # ---------------------------------------------------------------------- #
@@ -314,8 +313,7 @@ class _Worker:
         # it imports numpy; set the unset BLAS vars only around start() so
         # the parent's os.environ is unchanged afterwards.  Spawns run under
         # the pool lock (see _WorkerPool.ensure), so they never overlap.
-        added = [name for name in _WORKER_BLAS_ENV if name not in os.environ]
-        os.environ.update(dict.fromkeys(added, "1"))
+        added = default_blas_threads()
         try:
             self.proc.start()
         finally:
@@ -516,9 +514,14 @@ def reset_pool_stats() -> None:
 
 
 def pool_info() -> dict[str, Any]:
-    """One inspectable snapshot: knobs, live size, fallback state, counters."""
+    """One inspectable snapshot: knobs, live size, fallback state, counters.
+
+    ``blas_env`` is the BLAS thread variables as this process sees them
+    (workers start with any unset one at ``"1"``; see :mod:`repro._blas`).
+    """
     with _STATE_LOCK:
         return {
+            "blas_env": {name: os.environ.get(name) for name in BLAS_THREAD_ENV},
             "enabled": pool_enabled(),
             "in_worker": _IN_WORKER,
             "live_workers": _POOL.size if _POOL is not None else 0,

@@ -99,6 +99,19 @@ class TestBackendSelection:
         assert h_a == h_n
         assert np.array_equal(m_a, m_n)
 
+    def test_walk_serves_native_beyond_its_row_width(self):
+        # n = 70 > 64: the full native scan cannot pack the rows, but the
+        # size-restricted walk ignores the backend and must answer.
+        g = layered_circulant_cdag(70)
+        h_n, m_n = exact_edge_expansion_v2(g, max_size=2, backend="native")
+        h_b, m_b = exact_edge_expansion_v2(g, max_size=2, backend="bitset")
+        assert h_n == h_b
+        assert np.array_equal(m_n, m_b)
+
+    def test_full_native_scan_still_rejects_wide_rows(self):
+        with pytest.raises(ValueError, match="native backend packs rows"):
+            exact_edge_expansion_v2(layered_circulant_cdag(70), backend="native", limit=70)
+
     def test_explicit_native_raises_when_disabled(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE", "0")
         try:

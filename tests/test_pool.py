@@ -21,6 +21,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
+from repro._blas import BLAS_THREAD_ENV
 from repro.cdag.build import layered_circulant_cdag
 from repro.cdag.graph import CDAG
 from repro.core.exact import exact_edge_expansion_v2
@@ -273,15 +274,25 @@ class TestWorkerBlasEnv:
     ):
         # Unset vars default to "1" in the worker; a user value passes
         # through; the parent's environment is the same after the spawn.
-        for name in pool_runtime._WORKER_BLAS_ENV:
+        for name in BLAS_THREAD_ENV:
             monkeypatch.delenv(name, raising=False)
         if user_value is not None:
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", user_value)
         parent_env = dict(os.environ)
-        names = list(pool_runtime._WORKER_BLAS_ENV)
+        names = list(BLAS_THREAD_ENV)
         assert pool_runtime.submit_batch(_getenv, names, workers=2) == expected
         assert pool_runtime.pool_stats_snapshot()["serial_tasks"] == 0
         assert dict(os.environ) == parent_env
+
+    def test_pool_info_reports_this_process_blas_env(self, monkeypatch):
+        for name in BLAS_THREAD_ENV:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        assert pool_runtime.pool_info()["blas_env"] == {
+            "OPENBLAS_NUM_THREADS": None,
+            "OMP_NUM_THREADS": "3",
+            "MKL_NUM_THREADS": None,
+        }
 
 
 # --------------------------------------------------------------------- #
